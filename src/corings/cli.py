@@ -1,12 +1,15 @@
 """Command-line surface over JSON structure documents.
 
-Exit codes are a stable contract: 0 = pass, 1 = fail, 2 = undecided,
-3 = parse/usage error.  Each command prints a human-readable section
-followed by one line ``MACHINE <json>`` whose content is deterministic for
-identical inputs and seed (no timings inside the machine block).
+Exit codes are a stable contract: 0 = pass, 1 = fail, 2 = undecided
+(including an ``exactseq --enumerate`` cut short by its budget), 3 =
+parse/usage error (including a malformed document or a negative budget).
+Each command prints a human-readable section followed by one line
+``MACHINE <json>`` whose content is deterministic for identical inputs and
+seed (no timings inside the machine block).
 
 The default search budget comes from the environment variable
-``CORINGS_BUDGET`` when ``--budget`` is not given.
+``CORINGS_BUDGET`` when ``--budget`` is not given; both must be
+nonnegative integers.
 """
 
 from __future__ import annotations
@@ -41,17 +44,25 @@ PASS, FAIL, UNDEC, PARSE_ERROR = 0, 1, 2, 3
 BUDGET_ENV = "CORINGS_BUDGET"
 
 
+def _budget_arg(raw: str) -> int:
+    """A search budget, from ``--budget`` or the environment: an integer >= 0."""
+    try:
+        val = int(raw)
+    except ValueError:
+        val = -1
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {raw!r}")
+    return val
+
+
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        val = int(raw)
-        if val < 0:
-            raise ValueError
-        return val
-    except ValueError:
-        raise DocumentError(f"{BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
+        return _budget_arg(raw)
+    except argparse.ArgumentTypeError:
+        raise DocumentError(f"{BUDGET_ENV} must be a nonnegative integer, got {raw!r}") from None
 
 
 def _emit(prose: list[str], machine: dict, started: float) -> None:
@@ -248,7 +259,8 @@ def cmd_exactseq(args) -> int:
         "coset_representatives": rep.coset_representatives,
     }
     _emit(prose, machine, started)
-    if rep.undecided:
+    # an enumeration cut short by the budget has not decided |Aut|
+    if rep.undecided or (args.enumerate and not rep.complete):
         return UNDEC
     return PASS
 
@@ -462,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("inner", help="decide inner-ness of a coring automorphism")
     i.add_argument("coring")
     i.add_argument("morphism")
-    i.add_argument("--budget", type=int, default=None)
+    i.add_argument("--budget", type=_budget_arg, default=None)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--cross-check", action="store_true",
                    help="also run the bicomodule oracle and fail on disagreement")
@@ -474,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--full-rho", action="store_true",
                    help="enumerate base automorphisms too (default: rho = id)")
     e.add_argument("--morphisms", nargs="*", default=None)
-    e.add_argument("--budget", type=int, default=None)
+    e.add_argument("--budget", type=_budget_arg, default=None)
     e.add_argument("--seed", type=int, default=0)
     e.set_defaults(func=cmd_exactseq)
 
@@ -503,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     gk = sub.add_parser("graded-ker", help="graded fast-path kernel membership")
     gk.add_argument("graded")
     gk.add_argument("morphism")
-    gk.add_argument("--budget", type=int, default=None)
+    gk.add_argument("--budget", type=_budget_arg, default=None)
     gk.add_argument("--seed", type=int, default=0)
     gk.add_argument("--cross-check", action="store_true")
     gk.set_defaults(func=cmd_graded_ker)
@@ -511,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     ek = sub.add_parser("entwining-ker", help="entwining fast-path kernel membership")
     ek.add_argument("entwining")
     ek.add_argument("morphism", help="morphism document with alpha and gamma matrices")
-    ek.add_argument("--budget", type=int, default=None)
+    ek.add_argument("--budget", type=_budget_arg, default=None)
     ek.add_argument("--seed", type=int, default=0)
     ek.add_argument("--cross-check", action="store_true")
     ek.set_defaults(func=cmd_entwining_ker)
@@ -519,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     dk = sub.add_parser("dk-ker", help="graded-triple (DK tower) kernel membership")
     dk.add_argument("graded")
     dk.add_argument("triple", help="morphism document with f, phi (permutations) and alpha")
-    dk.add_argument("--budget", type=int, default=None)
+    dk.add_argument("--budget", type=_budget_arg, default=None)
     dk.add_argument("--seed", type=int, default=0)
     dk.add_argument("--cross-check", action="store_true")
     dk.set_defaults(func=cmd_dk_ker)

@@ -5,12 +5,31 @@ residues over a prime field.  Matrices wrap numpy arrays (``object`` dtype
 holding Fractions, or ``int64`` residues) and provide reduced row echelon
 form, solving, nullspaces and inverses with no rounding anywhere.
 
+Each field has one exact kernel behind :class:`Matrix` and :func:`_rref`:
+
+- F_2 eliminates by XOR, on packed bit rows once the matrix has at least
+  8 rows and columns.  Products are integer products reduced mod 2.
+- F_p (p odd) eliminates on residue arrays.  After each pivot only the rows
+  that the pivot touched are updated and reduced mod p; every other row
+  is already reduced.  Products are integer products reduced mod p.
+- Q eliminates fraction-free: each row is scaled once to integers, a
+  pivot updates a touched row ``R_i`` to ``pv * R_i - c * R_piv`` on Python
+  ints and divides it by the gcd of its entries, and only the final pivot
+  rows become Fractions.  Products and Kronecker products multiply integer
+  numerator arrays over a common denominator, in int64 when the bound
+  ``max|a| * max|b| * k < 2^62`` proves no overflow and in Python ints
+  otherwise; the result is turned into Fractions once per distinct value.
+
 Pivoting is first-nonzero with columns scanned left to right, so echelon
-bases are deterministic and reproducible across runs.
+bases are deterministic and reproducible across runs.  The reduced echelon
+form is unique, so every kernel returns the same entries as plain
+Gauss-Jordan elimination over the field.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,6 +39,10 @@ import numpy as np
 # int64 products stay exact while dim * (p-1)^2 < 2^63; beyond this prime
 # size we keep residues in object arrays of Python ints.
 _INT64_PRIME_LIMIT = 1 << 20
+
+# integer products over Q run in int64 while max|a| * max|b| * k stays below
+# this bound: every partial sum of k products is then below 2^62 < 2^63.
+_INT64_PRODUCT_LIMIT = 1 << 62
 
 
 def _is_prime(n: int) -> bool:
@@ -269,6 +292,12 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def _wrap(self, arr: np.ndarray) -> "Matrix":
+        """Wrap the result of arithmetic on canonical entries.
+
+        Residues are reduced mod p; Fraction arithmetic on Fractions already
+        yields canonical Fractions, so rationals are wrapped as they are."""
+        if self.field.kind == "Q":
+            return Matrix._raw(self.field, arr)
         return Matrix._raw(self.field, self.field.normalize(arr))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -285,13 +314,19 @@ class Matrix:
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
+            if self.field.kind == "Q":
+                return self._wrap(_q_product(np.matmul, self.a, other.a, self.ncols))
             return self._wrap(self.a @ other.a)
         v = as_vector(self.field, other)
+        if self.field.kind == "Q":
+            return _q_product(np.matmul, self.a, v, self.ncols)
         return self.field.normalize(self.a @ v)
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.a.size == 0 or other.a.size == 0:
             return self._wrap(np.kron(self.a, other.a))
+        if self.field.kind == "Q":
+            return self._wrap(_q_product(_fast_kron, self.a, other.a, 1))
         return self._wrap(_fast_kron(self.a, other.a))
 
     # -- echelon form and friends ---------------------------------------
@@ -299,7 +334,7 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         R, piv = _rref(self.field, self.a)
-        return self._wrap(R), tuple(piv)
+        return Matrix._raw(self.field, R), tuple(piv)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -378,40 +413,141 @@ def basis_vector(field: FieldSpec, n: int, i: int) -> np.ndarray:
     return v
 
 
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
+def _q_parts(a: np.ndarray) -> tuple[list, list]:
+    """Numerators and denominators of a Fraction array, flattened."""
+    flat = a.reshape(-1).tolist()
+    return list(map(_NUMERATOR, flat)), list(map(_DENOMINATOR, flat))
+
+
+def _q_split(a: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Integer numerators N, a common denominator D and max|N|, with a = N / D.
+
+    N is int64 when ``max|N| < 2^63`` and an object array of Python ints
+    otherwise."""
+    nums, dens = _q_parts(a)
+    den = math.lcm(*dens)
+    if den != 1:
+        nums = [x * (den // d) for x, d in zip(nums, dens)]
+    bound = max(map(abs, nums), default=0)
+    dtype = np.int64 if bound < (1 << 63) else object
+    return np.array(nums, dtype=dtype).reshape(a.shape), den, bound
+
+
+def _q_from_ints(N: np.ndarray, den: int) -> np.ndarray:
+    """The Fraction array N / den, building one Fraction per distinct entry."""
+    vals, inv = np.unique(N.reshape(-1), return_inverse=True)
+    fracs = np.empty(vals.size, dtype=object)
+    fracs[:] = [Fraction(v, den) for v in vals.tolist()]
+    return fracs[inv.reshape(-1)].reshape(N.shape)
+
+
+def _q_product(op, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """``op(a, b)`` on Fraction arrays, where op is bilinear and each output
+    entry sums at most k products (matmul: the inner dimension; kron: 1)."""
+    na, da, ma = _q_split(a)
+    nb, db, mb = _q_split(b)
+    if na.dtype == nb.dtype == np.int64 and ma * mb * k < _INT64_PRODUCT_LIMIT:
+        N = op(na, nb)
+    else:
+        N = op(na.astype(object), nb.astype(object))
+    return _q_from_ints(N, da * db)
+
+
 def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     m, n = a.shape
-    R = field.normalize(a.copy())
-    pivots: list[int] = []
     if m == 0 or n == 0:
-        return R, pivots
-    if field.kind == "Fp" and field.p == 2 and R.dtype == np.int64:
+        return field.normalize(a.copy()), []
+    if field.kind == "Q":
+        return _rref_q(a)
+    R = field.normalize(a)  # a fresh, reduced array
+    if field.p == 2 and R.dtype == np.int64:
         return _rref_gf2(R)
-    zero = field.scalar(0)
+    return _rref_fp(R, field.p)
+
+
+def _rref_fp(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """F_p reduced echelon form of the reduced residue array R, in place.
+
+    The pivot row is zero left of the pivot column, so subtracting its
+    multiples changes only the columns from the pivot on, and only in the
+    rows with a nonzero entry in the pivot column; every other entry keeps
+    its reduction."""
+    m, n = R.shape
+    pivots: list[int] = []
     row = 0
     for col in range(n):
-        piv = -1
-        for r in range(row, m):
-            if R[r, col] != zero:
-                piv = r
-                break
-        if piv < 0:
+        spot = np.flatnonzero(R[row:, col])
+        if spot.size == 0:
             continue
+        piv = row + int(spot[0])
         if piv != row:
             R[[row, piv], :] = R[[piv, row], :]
-        inv = field.inv_scalar(R[row, col])
-        if inv != field.scalar(1):
-            R[row, :] = field.normalize(R[row, :] * inv)
+        inv = pow(int(R[row, col]), p - 2, p)
+        if inv != 1:
+            R[row, col:] = R[row, col:] * inv % p
         colvals = R[:, col].copy()
-        colvals[row] = zero
-        nz = colvals != zero
-        if np.any(nz):
-            R[nz, :] = R[nz, :] - np.outer(colvals[nz], R[row, :])
-            R = field.normalize(R)
+        colvals[row] = 0
+        nz = np.flatnonzero(colvals)
+        if nz.size:
+            R[nz, col:] = (R[nz, col:] - np.outer(colvals[nz], R[row, col:])) % p
         pivots.append(col)
         row += 1
         if row == m:
             break
     return R, pivots
+
+
+_Q_ZERO = Fraction(0)
+
+
+def _rref_q(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon form over Q by fraction-free elimination.
+
+    Each row is scaled once to a primitive integer vector.  A pivot with
+    entry pv replaces every row R_i it touches (entry c in the pivot column)
+    by ``pv * R_i - c * R_piv`` divided by the gcd of its entries, which
+    keeps the row primitive and its span unchanged.  The whole row is
+    updated: a touched row above the pivot row is nonzero left of the pivot
+    column, and its scaling by pv must reach those entries too.  At the end
+    each pivot row is divided by its pivot entry; only then do Fractions
+    appear."""
+    m, n = a.shape
+    nums, dens = _q_parts(a)
+    R = np.array(nums, dtype=object).reshape(m, n)
+    if max(dens) != 1:
+        D = np.array(dens, dtype=object).reshape(m, n)
+        R = R * (np.lcm.reduce(D, axis=1)[:, None] // D)
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        spot = np.flatnonzero(R[row:, col])
+        if spot.size == 0:
+            continue
+        piv = row + int(spot[0])
+        if piv != row:
+            R[[row, piv], :] = R[[piv, row], :]
+        colvals = R[:, col].copy()
+        colvals[row] = 0
+        nz = np.flatnonzero(colvals)
+        if nz.size:
+            block = R[nz, :] * R[row, col] - np.outer(colvals[nz], R[row, :])
+            g = np.gcd.reduce(block, axis=1)
+            g[g == 0] = 1
+            R[nz, :] = block // g[:, None]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    out = np.empty((m, n), dtype=object)
+    out[:, :] = _Q_ZERO
+    for r, col in enumerate(pivots):
+        pv = R[r, col]
+        out[r, col:] = [_Q_ZERO if x == 0 else Fraction(x, pv) for x in R[r, col:].tolist()]
+    return out, pivots
 
 
 def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -107,21 +107,17 @@ def algebra_to_payload(A: Algebra) -> dict:
 
 
 def algebra_from_payload(f: FieldSpec, payload, names=None) -> Algebra:
-    try:
-        d = int(payload["dim"])
-        mult_obj = payload["mult"]
-        unit_obj = payload["unit"]
-    except (KeyError, TypeError) as e:
-        raise DocumentError(f"algebra payload missing {e}") from None
-    if d < 1:
-        raise DocumentError("algebra dimension must be positive")
-    if len(mult_obj) != d or any(len(r) != d for r in mult_obj):
+    d = _dim_from_json(payload, "algebra", least=1)
+    mult_obj = _get(payload, "mult")
+    unit_obj = _get(payload, "unit")
+    if not isinstance(mult_obj, list) or len(mult_obj) != d or \
+            any(not isinstance(r, list) or len(r) != d for r in mult_obj):
         raise DocumentError("structure tensor shape mismatch")
     mult = f.zeros((d, d, d))
     for i in range(d):
         for j in range(d):
             row = mult_obj[i][j]
-            if len(row) != d:
+            if not isinstance(row, list) or len(row) != d:
                 raise DocumentError("structure tensor shape mismatch")
             for k2 in range(d):
                 mult[i, j, k2] = _scalar_from_json(f, row[k2])
@@ -152,7 +148,7 @@ def coring_to_payload(C: Coring) -> dict:
 
 def coring_from_payload(f: FieldSpec, payload, name: str = "coring") -> Coring:
     base = algebra_from_payload(f, _get(payload, "base"))
-    d = int(_get(payload, "dim"))
+    d = _dim_from_json(payload, "coring")
     lact = _actions_from_json(f, _get(payload, "left_action"), base.dim, d, "left_action")
     ract = _actions_from_json(f, _get(payload, "right_action"), base.dim, d, "right_action")
     bim = Bimodule(base, base, d, lact, ract)
@@ -173,7 +169,7 @@ def comodule_to_payload(M: Comodule) -> dict:
 
 def comodule_from_payload(f: FieldSpec, payload) -> Comodule:
     C = coring_from_payload(f, _get(payload, "coring"))
-    d = int(_get(payload, "dim"))
+    d = _dim_from_json(payload, "comodule")
     ract = _actions_from_json(f, _get(payload, "right_action"), C.base.dim, d, "right_action")
     module = right_module(C.base, d, ract)
     mc = tensor_over(module, C.bimodule)
@@ -194,7 +190,7 @@ def entwining_to_payload(E: EntwiningStructure) -> dict:
 
 
 def coalgebra_from_payload(f: FieldSpec, obj) -> Coring:
-    d = int(_get(obj, "dim"))
+    d = _dim_from_json(obj, "coalgebra", least=1)
     shell = grouplike_coalgebra(d, f)  # carrier scaffold over k; maps replaced
     damb = _matrix_from_json(f, _get(obj, "delta"), d * d, d, "coalgebra delta")
     eps = _matrix_from_json(f, _get(obj, "epsilon"), 1, d, "coalgebra epsilon")
@@ -290,6 +286,14 @@ def _get(obj, key):
         return obj[key]
     except (KeyError, TypeError):
         raise DocumentError(f"missing field {key!r}") from None
+
+
+def _dim_from_json(obj, what: str, least: int = 0) -> int:
+    """The ``dim`` field of a payload: an integer (not a bool) >= least."""
+    d = _get(obj, "dim")
+    if isinstance(d, bool) or not isinstance(d, int) or d < least:
+        raise DocumentError(f"{what} dim must be an integer >= {least}, got {d!r}")
+    return d
 
 
 # -- document envelope --------------------------------------------------------

@@ -64,6 +64,26 @@ def test_malformed_rational_is_parse_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("where,value", [
+    (("dim",), "x"),                 # coring dim
+    (("base", "dim"), "x"),          # algebra dim
+    (("base", "dim"), True),
+    (("base", "mult"), 5),
+    (("base", "mult"), [[5]]),
+])
+def test_malformed_document_is_parse_error(tmp_path, capsys, where, value):
+    out = str(tmp_path / "t.json")
+    run(capsys, "build", "trivial", "--dim", "1", "--field", "Q", "-o", out)
+    doc = doc_io.load(out)
+    obj = doc["payload"]
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = value
+    doc_io.save(out, doc)
+    assert main(["validate", out]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invalid_json_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -105,6 +125,39 @@ def test_inner_budget_exhaustion_exit_2(tmp_path, capsys):
     code, _, machine = run(capsys, "inner", cpath, mpath, "--budget", "1")
     assert code == 2
     assert machine["status"] == "undecided"
+
+
+def test_exactseq_truncated_enumeration_exit_2(tmp_path, capsys):
+    # grouplike(4)/F5 has 24 automorphisms; budget 50 stops the scan early
+    cpath = str(tmp_path / "kz4.json")
+    run(capsys, "build", "grouplike", "-n", "4", "--field", "F5", "-o", cpath)
+    code, _, machine = run(capsys, "exactseq", cpath, "--enumerate", "--budget", "50")
+    assert machine["complete"] is False
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["inner", "exactseq", "graded-ker", "entwining-ker", "dk-ker"])
+@pytest.mark.parametrize("budget", ["-5", "ten"])
+def test_bad_budget_is_parse_error(tmp_path, capsys, command, budget):
+    # valid documents, so the budget is the only fault
+    docs = {name: str(tmp_path / f"{name}.json") for name in ("c", "g", "e", "id", "gid", "m", "t")}
+    run(capsys, "build", "grouplike", "-n", "2", "--field", "F3", "-o", docs["c"])
+    run(capsys, "build", "graded", "--group", "2", "--field", "F3", "-o", docs["g"])
+    run(capsys, "build", "entwining", "--group", "2", "--field", "F3", "-o", docs["e"])
+    doc_io.save(docs["id"], doc_io.document("morphism", F3, {"phi": [[1, 0], [0, 1]], "rho": [[1]]}))
+    doc_io.save(docs["gid"], doc_io.document("morphism", F3, {
+        "phi": [[int(i == j) for j in range(4)] for i in range(4)], "rho": [[1, 0], [0, 1]]}))
+    doc_io.save(docs["m"], doc_io.document("morphism", F3, {
+        "alpha": [[1, 0], [0, 1]], "gamma": [[0, 1], [1, 0]]}))
+    doc_io.save(docs["t"], doc_io.document("morphism", F3, {
+        "f": [0, 1], "phi": [1, 0], "alpha": [[1, 0], [0, 1]]}))
+    argv = {"inner": [docs["c"], docs["id"]], "exactseq": [docs["c"], "--enumerate"],
+            "graded-ker": [docs["g"], docs["gid"]], "entwining-ker": [docs["e"], docs["m"]],
+            "dk-ker": [docs["g"], docs["t"]]}[command]
+    assert main([command, *argv]) in (0, 2)
+    capsys.readouterr()
+    assert main([command, *argv, "--budget", budget]) == 3
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_exactseq_matrix_coring(tmp_path, capsys):

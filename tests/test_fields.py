@@ -1,10 +1,17 @@
 """Exact linear algebra: solving, kernels, echelon forms, and the packed
-GF(2) elimination against the generic path."""
+GF(2) elimination against the generic path.
+
+The referee tests at the end check every field's kernel on random matrices
+against sympy (rref over QQ and GF(p)) and against naive Fraction loops
+(products), and check nullspace, solve_matrix and inverse by substitution."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from corings import GF, QQ, FieldSpec, Matrix
 from corings.fields import _rref, _rref_gf2_packed, basis_vector
@@ -157,3 +164,144 @@ def test_large_prime_field_object_path():
 def test_basis_vector():
     v = basis_vector(F3, 4, 2)
     assert list(v) == [0, 0, 1, 0]
+
+
+# -- referees: sympy and naive Fraction loops ---------------------------------
+
+REFEREE_FIELDS = [QQ, F2, F3, F5]
+_small_q = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_huge_q = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+
+
+def _rows(entries, m, n):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+def _matrices(entries, max_rows=6, max_cols=7):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda mn: _rows(entries, *mn))
+
+
+def _entries(field):
+    if field.kind == "Q":
+        return _small_q
+    return st.integers(-2 * field.p, 2 * field.p)
+
+
+def _sympy_rref(field, rows):
+    """Reduced echelon form and pivots computed by sympy, as field scalars."""
+    if field.kind == "Q":
+        R, piv = sympy.Matrix(rows).rref()
+        return [[Fraction(str(x)) for x in R.row(i)] for i in range(R.rows)], tuple(piv)
+    R, piv = DomainMatrix.from_list(rows, sympy.GF(field.p)).rref()
+    return [[int(x) % field.p for x in r] for r in R.to_list()], tuple(piv)
+
+
+def _naive_matmul(a, b):
+    k = len(b)
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _naive_kron(a, b):
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+@pytest.mark.parametrize("field", REFEREE_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_sympy(field, data):
+    rows = data.draw(_matrices(_entries(field)))
+    R, piv = Matrix(field, rows).rref()
+    ref, ref_piv = _sympy_rref(field, rows)
+    assert piv == ref_piv
+    assert R.a.tolist() == ref
+
+
+@pytest.mark.parametrize("field", [F3, F5, GF(7)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fp_rref_entries_are_reduced(field, data):
+    # unreduced input straight into the kernel: rows that no pivot touches
+    # keep their first reduction and must still land in [0, p)
+    rows = data.draw(_matrices(st.integers(-3 * field.p, 3 * field.p)))
+    R, piv = _rref(field, np.array(rows, dtype=np.int64))
+    assert R.dtype == np.int64
+    assert ((R >= 0) & (R < field.p)).all()
+    assert R.tolist() == _sympy_rref(field, rows)[0]
+
+
+def test_fp_rref_untouched_rows_stay_reduced():
+    # the first row has no entry in the second pivot column, so that pivot
+    # leaves it alone: its 7 must still read 2 from the first reduction
+    R, piv = _rref(F5, np.array([[1, 0, 7], [0, -1, 13], [2, 0, -6]], dtype=np.int64))
+    assert piv == [0, 1]
+    assert R.tolist() == [[1, 0, 2], [0, 1, 2], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("field", REFEREE_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nullspace_and_solve_matrix_by_substitution(field, data):
+    rows = data.draw(_matrices(_entries(field)))
+    A = Matrix(field, rows)
+    m, n = A.shape
+    K = A.nullspace()
+    assert K.ncols == n - A.rank()
+    if K.ncols:
+        assert (A @ K).is_zero()
+        assert K.rank() == K.ncols
+    X0 = Matrix(field, data.draw(_rows(_entries(field), n, data.draw(st.integers(1, 3)))))
+    B = A @ X0
+    X = A.solve_matrix(B)
+    assert X is not None and A @ X == B
+    B2 = Matrix(field, data.draw(_rows(_entries(field), m, 2)))
+    X2 = A.solve_matrix(B2)
+    if X2 is None:
+        assert Matrix.hstack([A, B2]).rank() > A.rank()
+    else:
+        assert A @ X2 == B2
+
+
+@pytest.mark.parametrize("field", REFEREE_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse_by_substitution(field, data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(_rows(_entries(field), n, n))
+    A = Matrix(field, rows)
+    inv = A.inverse()
+    det = sympy.Matrix(rows).det()
+    singular = det == 0 if field.kind == "Q" else int(det) % field.p == 0
+    if singular:
+        assert inv is None
+    else:
+        eye = Matrix.eye(field, n)
+        assert inv is not None and A @ inv == eye and inv @ A == eye
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_q_products_match_naive_loops(data):
+    entries = st.one_of(_small_q, _huge_q)
+    a = data.draw(_matrices(entries, max_rows=4, max_cols=4))
+    k = len(a[0])
+    b = data.draw(_rows(entries, k, data.draw(st.integers(1, 4))))
+    A, B = Matrix(QQ, a), Matrix(QQ, b)
+    assert (A @ B).a.tolist() == _naive_matmul(a, b)
+    assert A.kron(B).a.tolist() == _naive_kron(a, b)
+    v = [row[0] for row in b]
+    assert (A @ v).tolist() == [r[0] for r in _naive_matmul(a, [[x] for x in v])]
+    assert all(type(x) is Fraction for x in (A @ B).a.reshape(-1))
+
+
+def test_q_products_on_both_sides_of_the_int64_bound():
+    # max|a| * max|b| * k: (2^31 - 1)^2 stays in int64, 2^31 * 2^31 does not
+    for big in (2**31 - 1, 2**31, 2**70):
+        a = [[Fraction(big), Fraction(-1, 3)], [Fraction(0), Fraction(big, 7)]]
+        b = [[Fraction(big), Fraction(5)], [Fraction(-big, 2), Fraction(1, 9)]]
+        A, B = Matrix(QQ, a), Matrix(QQ, b)
+        assert (A @ B).a.tolist() == _naive_matmul(a, b)
+        assert A.kron(B).a.tolist() == _naive_kron(a, b)
