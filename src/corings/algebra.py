@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, Matrix, as_vector, basis_vector
+from .fields import FieldSpec, Matrix, as_vector, basis_vector, commute_rows, sandwich_rows
 from .report import InvalidStructureError, Report, ReportBuilder
 
 
@@ -387,37 +387,14 @@ def is_projective_right(M: Bimodule) -> bool:
         return True
     free = free_right_module(A, n)
     # surjection pi: A^n -> M, column (i, j) -> e_i * a_j
-    cols = []
-    for i in range(n):
-        ei = basis_vector(f, n, i)
-        for j in range(A.dim):
-            cols.append(M.right_action[j] @ ei)
-    pi = Matrix(f, np.stack(cols, axis=1))
+    pi = Matrix(f, np.stack([M.right_action[j].a[:, i] for i in range(n) for j in range(A.dim)],
+                            axis=1))
     # unknown sigma: M -> A^n with pi sigma = 1 and sigma right-linear
-    rows = []
-    rhs = []
-    nm, nf = n, free.dim
-    for r in range(nm):
-        for c in range(nm):
-            row = f.zeros((nf * nm,))
-            for t in range(nf):
-                row[t * nm + c] = pi.a[r, t]
-            rows.append(row)
-            rhs.append(f.scalar(1) if r == c else f.scalar(0))
-    for j in range(A.dim):
-        RM, RF = M.right_action[j], free.right_action[j]
-        # sigma @ RM == RF @ sigma
-        for r in range(nf):
-            for c in range(nm):
-                row = f.zeros((nf * nm,))
-                for t in range(nm):
-                    row[r * nm + t] = row[r * nm + t] + RM.a[t, c]
-                for t in range(nf):
-                    row[t * nm + c] = row[t * nm + c] - RF.a[r, t]
-                rows.append(row)
-                rhs.append(f.scalar(0))
-    system = Matrix(f, np.stack(rows, axis=0))
-    return system.solve(np.array(rhs, dtype=f.dtype)) is not None
+    eye = Matrix.eye(f, n)
+    rows = [sandwich_rows(pi, eye)]
+    rows += [commute_rows(M.right_action[j], free.right_action[j]) for j in range(A.dim)]
+    rhs = np.concatenate([eye.a.reshape(-1), f.zeros((A.dim * free.dim * n,))])
+    return Matrix.vstack(rows).solve(rhs) is not None
 
 
 def is_projective_left(M: Bimodule) -> bool:

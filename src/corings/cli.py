@@ -1,8 +1,9 @@
 """Command-line surface over JSON structure documents.
 
-Exit codes are a stable contract: 0 = pass, 1 = fail, 2 = undecided
-(including an ``exactseq --enumerate`` cut short by its budget), 3 =
-parse/usage error (including a malformed document or a negative budget).
+Exit codes are a stable contract: 0 = pass, 1 = fail (also when stdout
+closes early, silently), 2 = undecided (including an ``exactseq
+--enumerate`` cut short by its budget), 3 = parse/usage error (including a
+malformed document or a negative budget).
 Each command prints a human-readable section followed by one line
 ``MACHINE <json>`` whose content is deterministic for identical inputs and
 seed (no timings inside the machine block).
@@ -428,8 +429,8 @@ def cmd_dk_ker(args) -> int:
     Gd = doc_io.graded_from_payload(f, gdoc["payload"])
     tdoc = doc_io.load(args.triple)
     payload = tdoc["payload"]
-    f_map = [int(x) for x in doc_io._get(payload, "f")]
-    phi_map = [int(x) for x in doc_io._get(payload, "phi")]
+    f_map = doc_io._ints_from_json(doc_io._get(payload, "f"), "f")
+    phi_map = doc_io._ints_from_json(doc_io._get(payload, "phi"), "phi")
     alpha = doc_io._matrix_from_json(f, doc_io._get(payload, "alpha"),
                                      Gd.algebra.dim, Gd.algebra.dim, "alpha")
     budget = args.budget if args.budget is not None else _default_budget()
@@ -546,7 +547,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return PARSE_ERROR if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early: send the flush at exit to devnull, not to a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return FAIL
     except (DocumentError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR

@@ -12,7 +12,7 @@ to restrict to the kernel.  Over a field base the restriction can only fail
 on broken inputs; failure raises KernelInvarianceError.
 
 Morphism spaces are cut out by linear conditions on the unknown matrix F,
-assembled through vec(A F B) = (A kron B^T) vec(F) for row-major vec.
+assembled on row-major vec(F) (see :func:`corings.fields.commute_rows`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import Bimodule
 from .coring import Coring, CoringMorphism
-from .fields import Matrix
+from .fields import Matrix, commute_rows
 from .report import (BalancednessError, InvalidStructureError, KernelInvarianceError,
                      Report, ReportBuilder)
 from .tensor import TensorQuotient, tensor_chain, tensor_over
@@ -211,13 +211,6 @@ def check_bicomodule(M: Bicomodule) -> Report:
 
 # -- linear conditions on an unknown matrix F (row-major vec) --------------
 
-def _rows_commute(f, X: Matrix, Y: Matrix, nn: int, nm: int) -> np.ndarray:
-    """F @ X == Y @ F  as rows over vec(F)."""
-    left = Matrix.eye(f, nn).kron(X.T)
-    right = Y.kron(Matrix.eye(f, nm))
-    return (left - right).a
-
-
 def _rows_right_colinear(f, P: Matrix, W: Matrix, rhoN: Matrix,
                          nn: int, nm: int, dc: int) -> np.ndarray:
     """rho_N @ F == P @ (F kron I_C) @ W  as rows over vec(F).
@@ -258,7 +251,7 @@ def comodule_hom_space(M: Comodule, N: Comodule) -> list[Matrix]:
     f = M.field
     C = M.coring
     nm, nn = M.dim, N.dim
-    rows = [_rows_commute(f, M.module.right_action[a], N.module.right_action[a], nn, nm)
+    rows = [commute_rows(M.module.right_action[a], N.module.right_action[a]).a
             for a in range(C.base.dim)]
     rows.append(_rows_right_colinear(f, N.mc.project, M.rho_ambient(),
                                      N.rho, nn, nm, C.dim))
@@ -273,9 +266,9 @@ def bicomodule_hom_space(M: Bicomodule, N: Bicomodule) -> list[Matrix]:
     f = M.field
     Cp, C = M.left_coring, M.right_coring
     nm, nn = M.dim, N.dim
-    rows = [_rows_commute(f, M.module.right_action[a], N.module.right_action[a], nn, nm)
+    rows = [commute_rows(M.module.right_action[a], N.module.right_action[a]).a
             for a in range(C.base.dim)]
-    rows += [_rows_commute(f, M.module.left_action[b], N.module.left_action[b], nn, nm)
+    rows += [commute_rows(M.module.left_action[b], N.module.left_action[b]).a
              for b in range(Cp.base.dim)]
     rows.append(_rows_right_colinear(f, N.as_right.mc.project, M.as_right.rho_ambient(),
                                      N.rho, nn, nm, C.dim))

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Algebra, Bimodule, is_projective_left, scalar_algebra
 from .comodule import Comodule
 from .coring import Coring
-from .fields import Matrix
+from .fields import Matrix, commute_rows
 from .report import InvalidStructureError, Report, ReportBuilder
 
 RIGHT = "right-dual"
@@ -109,18 +109,10 @@ class DualAlgebra:
         k = coring.field
         A = coring.base
         dA, dC = A.dim, coring.dim
-        rows = []
-        eyeA = Matrix.eye(k, dA)
-        eyeC = Matrix.eye(k, dC)
-        for a in range(A.dim):
-            if side == RIGHT:
-                X = coring.bimodule.right_action[a]
-                Y = A.basis_right_mult(a)
-            else:
-                X = coring.bimodule.left_action[a]
-                Y = A.basis_left_mult(a)
-            rows.append((eyeA.kron(X.T) - Y.kron(eyeC)).a)
-        null = Matrix(k, np.vstack(rows)).nullspace() if rows else Matrix.eye(k, dA * dC)
+        acts, mults = ((coring.bimodule.right_action, A.basis_right_mult) if side == RIGHT
+                       else (coring.bimodule.left_action, A.basis_left_mult))
+        rows = [commute_rows(acts[a], mults(a)) for a in range(dA)]
+        null = Matrix.vstack(rows).nullspace() if rows else Matrix.eye(k, dA * dC)
         self.basis = [Matrix(k, null.col(j).reshape(dA, dC)) for j in range(null.ncols)]
         self.dim = len(self.basis)
         self._hom = null  # (dA*dC) x dim, columns = vec(basis)
@@ -144,6 +136,10 @@ class DualAlgebra:
 
     def coords(self, values: Matrix) -> Optional[np.ndarray]:
         return self._hom.solve(values.a.reshape(-1))
+
+    def coords_of_columns(self, vecs: Matrix) -> Optional[Matrix]:
+        """Coordinates of the elements vec(values) in the columns of vecs."""
+        return self._hom.solve_matrix(vecs)
 
     def element(self, coords) -> DualElement:
         vec = self._hom @ coords

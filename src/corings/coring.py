@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, AlgebraMorphism, Bimodule
-from .fields import Matrix
+from .fields import Matrix, commute_rows, sandwich_rows
 from .report import BalancednessError, Report, ReportBuilder
 from .tensor import TensorQuotient, tensor_chain, tensor_over
 
@@ -265,70 +265,49 @@ def find_cointegral(C: Coring) -> Optional[Cointegral]:
     """
     A, f = C.base, C.field
     sq = C.square
-    q2 = sq.dim
-    nunk = A.dim * q2
-    if nunk == 0:
+    q2, d, dA = sq.dim, C.dim, A.dim
+    if dA * q2 == 0:
         return None
-    rows: list[np.ndarray] = []
-    rhs: list = []
-    zero, one = f.scalar(0), f.scalar(1)
-
-    def unk(r: int, c: int) -> int:
-        return r * q2 + c
-
-    # bilinearity: d @ act == mult @ d
-    for a in range(A.dim):
-        for act, mul in ((sq.module.left_action[a], A.basis_left_mult(a)),
-                         (sq.module.right_action[a], A.basis_right_mult(a))):
-            for r in range(A.dim):
-                for c in range(q2):
-                    row = f.zeros((nunk,))
-                    for t in range(q2):
-                        row[unk(r, t)] = row[unk(r, t)] + act.a[t, c]
-                    for t in range(A.dim):
-                        row[unk(t, c)] = row[unk(t, c)] - mul.a[r, t]
-                    rows.append(row)
-                    rhs.append(zero)
-    # delta o Delta = epsilon
-    for r in range(A.dim):
-        for c in range(C.dim):
-            row = f.zeros((nunk,))
-            for t in range(q2):
-                row[unk(r, t)] = C.delta.a[t, c]
-            rows.append(row)
-            rhs.append(C.epsilon.a[r, c])
+    # delta o Delta = epsilon, then bilinearity: delta @ act == mult @ delta
+    rows = [sandwich_rows(Matrix.eye(f, dA), C.delta)]
+    rows += [commute_rows(sq.module.left_action[a], A.basis_left_mult(a)) for a in range(dA)]
+    rows += [commute_rows(sq.module.right_action[a], A.basis_right_mult(a)) for a in range(dA)]
     # mixed coassociativity, evaluated on section representatives; this is
     # equivalent to the real condition once bilinearity (imposed above)
     # makes the contraction maps balanced
     cube = C.cube
-    I = Matrix.eye(f, C.dim)
+    I = Matrix.eye(f, d)
     dl = sq.induce_or_none(C.delta_ambient.kron(I), cube)
     dr = sq.induce_or_none(I.kron(C.delta_ambient), cube)
     if dl is None or dr is None:
         return None
-    repr_l = (cube.section @ dl).a  # d^3 x q2
+    # P2 contracted once with the representatives: Zl[c] = (C (x) <P2 row c>)
+    # of (Delta (x) C) Delta and Zr[c] = (<P2 row c> (x) C) of (C (x) Delta)
+    # Delta, each d x q2, laid out side by side as d x (q2 * q2)
+    repr_l = (cube.section @ dl).a.reshape(d, d * d, q2).transpose(1, 0, 2)
     repr_r = (cube.section @ dr).a
-    P2 = sq.project.a
-    d = C.dim
-    mixed_cols = f.zeros((d * q2, nunk))
-    for r in range(A.dim):
-        for c in range(q2):
-            lhs_amb = np.kron(C.bimodule.right_action[r].a, P2[c : c + 1, :])
-            rhs_amb = np.kron(P2[c : c + 1, :], C.bimodule.left_action[r].a)
-            G = f.normalize(lhs_amb @ repr_l - rhs_amb @ repr_r)  # d x q2
-            mixed_cols[:, unk(r, c)] = G.reshape(-1)
-    for i in range(d * q2):
-        if np.any(mixed_cols[i, :] != zero):
-            rows.append(mixed_cols[i, :].copy())
-            rhs.append(zero)
-
-    system = Matrix(f, np.stack(rows, axis=0))
-    sol = system.solve(np.array(rhs, dtype=f.dtype))
+    P2 = sq.project
+    Zl, Zr = (_side_by_side(P2 @ Matrix._raw(f, rep.reshape(d * d, d * q2)), d, q2)
+              for rep in (repr_l, repr_r))
+    # the column of unknown (r, c) is vec(R_r Zl[c] - L_r Zr[c])
+    mixed = np.concatenate([
+        _side_by_side(C.bimodule.right_action[r] @ Zl - C.bimodule.left_action[r] @ Zr, q2, q2).a
+        for r in range(dA)]).T
+    rows.append(Matrix._raw(f, mixed[np.any(mixed != f.scalar(0), axis=1)]))
+    system = Matrix.vstack(rows)
+    rhs = f.zeros((system.nrows,))
+    rhs[: dA * d] = C.epsilon.a.reshape(-1)
+    sol = system.solve(rhs)
     if sol is None:
         return None
-    delta = Matrix(f, sol.reshape(A.dim, q2))
-    out = Cointegral(C, delta)
+    out = Cointegral(C, Matrix(f, sol.reshape(dA, q2)))
     rep = out.validate()
     if not rep.ok:
         raise AssertionError(f"cointegral solution failed re-validation:\n{rep}")
     return out
+
+
+def _side_by_side(Z: Matrix, n: int, m: int) -> Matrix:
+    """The rows of Z, each read as a row-major n x m block, placed side by
+    side: an n x (rows * m) matrix."""
+    return Matrix._raw(Z.field, Z.a.reshape(Z.nrows, n, m).transpose(1, 0, 2).reshape(n, -1))

@@ -194,14 +194,22 @@ def coring_from_entwining(E: EntwiningStructure,
     ract = [mmat.kron(IC) @ IA.kron(E.psi_partial(b)) for b in range(dA)]
     bim = Bimodule(A, A, d, lact, ract)
     sq = tensor_over(bim, bim)
-    unitcol = Matrix.column(f, A.unit)
-    step1 = IA.kron(C.delta_ambient)                       # A(x)C -> A(x)C(x)C
-    step2 = Matrix.eye(f, d).kron(unitcol.kron(IC))        # -> A(x)C(x)A(x)C
-    delta = sq.project @ (step2 @ step1)
+    delta = sq.project @ entwined_delta_ambient(E)
     eps = IA.kron(C.epsilon)
     out = Coring(A, bim, delta, eps, square=sq,
                  name=name or "entwined(A(x)C)")
     return out, check_coring(out)
+
+
+def entwined_delta_ambient(E: EntwiningStructure) -> Matrix:
+    """a (x) c -> sum (a (x) c_1) (x) (1 (x) c_2), the comultiplication of
+    A (x) C into the ambient (A (x) C) (x)_k (A (x) C)."""
+    A, C = E.algebra, E.coalgebra
+    f = A.field
+    IA, IC = Matrix.eye(f, A.dim), Matrix.eye(f, C.dim)
+    step1 = IA.kron(C.delta_ambient)                       # A(x)C -> A(x)C(x)C
+    step2 = Matrix.eye(f, A.dim * C.dim).kron(Matrix.column(f, A.unit).kron(IC))
+    return step2 @ step1                                   # -> A(x)C(x)A(x)C
 
 
 def entwined_to_comodule(E: EntwiningStructure, module: Bimodule,

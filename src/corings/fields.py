@@ -24,6 +24,10 @@ Pivoting is first-nonzero with columns scanned left to right, so echelon
 bases are deterministic and reproducible across runs.  The reduced echelon
 form is unique, so every kernel returns the same entries as plain
 Gauss-Jordan elimination over the field.
+
+Every linear condition on an unknown matrix F is assembled from
+:func:`sandwich_rows` (the matrix of F -> X F Y on row-major vec(F)) and
+:func:`commute_rows` (the rows of F X == Y F).
 """
 
 from __future__ import annotations
@@ -411,6 +415,20 @@ def basis_vector(field: FieldSpec, n: int, i: int) -> np.ndarray:
     v = field.zeros((n,))
     v[i] = field.scalar(1)
     return v
+
+
+# -- linear conditions on an unknown matrix F (row-major vec) -----------------
+
+def sandwich_rows(X: Matrix, Y: Matrix) -> Matrix:
+    """The matrix of F -> X F Y on row-major vec(F): vec(X F Y) = (X kron Y^T) vec(F)."""
+    return X.kron(Y.T)
+
+
+def commute_rows(X: Matrix, Y: Matrix) -> Matrix:
+    """The rows of F X == Y F over row-major vec(F), for F of shape
+    (rows of Y) x (rows of X)."""
+    k = X.field
+    return sandwich_rows(Matrix.eye(k, Y.nrows), X) - sandwich_rows(Y, Matrix.eye(k, X.nrows))
 
 
 _NUMERATOR = operator.attrgetter("numerator")

@@ -68,7 +68,7 @@ def _scalar_from_json(f: FieldSpec, x):
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise DocumentError(f"bad rational {x!r}: {e}") from None
-    if not isinstance(x, int):
+    if isinstance(x, bool) or not isinstance(x, int):
         raise DocumentError(f"prime-field scalars must be integers, got {x!r}")
     if not (0 <= x < f.p):
         raise DocumentError(f"residue {x} out of range [0, {f.p})")
@@ -246,16 +246,17 @@ def graded_to_payload(Gd: GradedData) -> dict:
 
 
 def graded_from_payload(f: FieldSpec, payload) -> GradedData:
-    group = _get(payload, "group")
-    gset = _get(payload, "gset")
-    if not isinstance(group, list) or not isinstance(gset, list):
-        raise DocumentError("group and gset must be tables")
+    tables = []
+    for key in ("group", "gset"):
+        rows = _get(payload, key)
+        if not isinstance(rows, list):
+            raise DocumentError(f"{key} must be a table")
+        tables.append([_ints_from_json(r, f"{key} row") for r in rows])
     A = algebra_from_payload(f, _get(payload, "algebra"))
-    degrees = _get(payload, "degrees")
-    if not isinstance(degrees, list) or len(degrees) != A.dim:
+    degrees = _ints_from_json(_get(payload, "degrees"), "degrees")
+    if len(degrees) != A.dim:
         raise DocumentError("degrees must list one group index per basis vector")
-    return GradedData([list(map(int, r)) for r in group],
-                      [list(map(int, r)) for r in gset], A, list(map(int, degrees)))
+    return GradedData(tables[0], tables[1], A, degrees)
 
 
 def morphism_to_payload(m: CoringMorphism) -> dict:
@@ -286,6 +287,14 @@ def _get(obj, key):
         return obj[key]
     except (KeyError, TypeError):
         raise DocumentError(f"missing field {key!r}") from None
+
+
+def _ints_from_json(obj, what: str) -> list[int]:
+    """A list of integers (not bools), such as a group table row."""
+    if not isinstance(obj, list) or any(isinstance(x, bool) or not isinstance(x, int)
+                                        for x in obj):
+        raise DocumentError(f"{what} must be a list of integers, got {obj!r}")
+    return list(obj)
 
 
 def _dim_from_json(obj, what: str, least: int = 0) -> int:

@@ -25,14 +25,15 @@ import numpy as np
 from .algebra import Algebra, AlgebraMorphism, group_inverse
 from .comodule import (ISOMORPHIC, IsoSearchResult, bicomodule_iso_exists,
                        regular_bicomodule, twisted_bicomodule)
-from .convolution import RIGHT, DualElement, convolution_inverse, right_dual_algebra
+from .convolution import (RIGHT, DualAlgebra, DualElement, convolution_inverse,
+                          right_dual_algebra)
 from .coring import Coring, CoringMorphism, check_coring_morphism
-from .families import (DKStructure, EntwiningStructure, GradedData,
-                       coring_from_entwining, entwining_from_dk, graded_coring)
-from .fields import Matrix, basis_vector
+from .families import (DKStructure, EntwiningStructure, GradedData, coring_from_entwining,
+                       entwined_delta_ambient, entwining_from_dk, graded_coring)
+from .fields import Matrix, basis_vector, commute_rows, sandwich_rows
 from .report import (InvalidStructureError, OracleDisagreementError, Report,
                      ReportBuilder)
-from .unitsearch import (CERTIFIED_NONE, DEFAULT_BUDGET, UNDECIDED,
+from .unitsearch import (CERTIFIED_NONE, DEFAULT_BUDGET, UNDECIDED, WITNESS,
                          UnitSearchResult, subspace_contains_unit)
 
 INNER = "inner"
@@ -69,24 +70,49 @@ def inner_witness_space(f: CoringMorphism) -> list[Matrix]:
     """Basis of {p in C*: sum phi(c_1)p(c_2) = sum p(c_1)c_2}, the linear
     part of the inner-automorphism condition."""
     C = f.source
+    null = _p_equation_kernel(C, f.phi, C.delta_ambient)
+    return [Matrix(C.field, null.col(j).reshape(C.base.dim, C.dim)) for j in range(null.ncols)]
+
+
+def _p_equation_kernel(C: Coring, phi: Matrix, delta_amb: Matrix) -> Matrix:
+    """Kernel, as columns vec(p), of the right-A-linear p: C -> A with
+    sum phi(c_1) p(c_2) = sum p(c_1) c_2, where the d^2 x d matrix
+    ``delta_amb`` represents Delta in C (x)_k C."""
     k, A = C.field, C.base
-    d, dA = C.dim, A.dim
-    W3 = C.delta_ambient.a.reshape(d, d, d)  # [c1, c2, input]
-    rows_eq = k.zeros((d * d, dA * d))
-    for r in range(dA):
-        m_phi = (C.bimodule.right_action[r] @ f.phi).a
-        lact = C.bimodule.left_action[r].a
-        for s in range(d):
-            lhs_u = m_phi @ W3[:, s, :]          # d x d over inputs
-            rhs_u = lact @ W3[s, :, :]
-            rows_eq[:, r * d + s] = k.normalize(lhs_u - rhs_u).reshape(-1)
-    blocks = [rows_eq]
-    eyeA, eyeC = Matrix.eye(k, dA), Matrix.eye(k, d)
-    for a in range(dA):
-        blocks.append((eyeA.kron(C.bimodule.right_action[a].T)
-                       - A.basis_right_mult(a).kron(eyeC)).a)
-    null = Matrix(k, np.vstack(blocks)).nullspace()
-    return [Matrix(k, null.col(j).reshape(dA, d)) for j in range(null.ncols)]
+    d = C.dim
+    W3 = delta_amb.a.reshape(d, d, d)  # [c1, c2, input]
+    # column s: vec(W3[:, s, :]) and vec(W3[s, :, :])
+    Wl = Matrix._raw(k, W3.transpose(0, 2, 1).reshape(d * d, d))
+    Wr = Matrix._raw(k, W3.reshape(d, d * d).T)
+    eyeC = Matrix.eye(k, d)
+    R, L = C.bimodule.right_action, C.bimodule.left_action
+    # column (r, s) of the p-equation: vec(R_r phi W3[:, s, :] - L_r W3[s, :, :])
+    eq = Matrix.hstack([sandwich_rows(R[r] @ phi, eyeC) @ Wl - sandwich_rows(L[r], eyeC) @ Wr
+                        for r in range(A.dim)])
+    linear = [commute_rows(R[a], A.basis_right_mult(a)) for a in range(A.dim)]
+    return Matrix.vstack([eq] + linear).nullspace()
+
+
+_STATUS = {WITNESS: INNER, CERTIFIED_NONE: NOT_INNER, UNDECIDED: UNDECIDED}
+
+
+def _unit_search(coords: Matrix, alg: Algebra, budget: int,
+                 seed: int) -> tuple[str, UnitSearchResult]:
+    """Whether the span of the columns of ``coords`` holds a unit of alg, as
+    an inner-ness status; an empty span is a deterministic NOT_INNER."""
+    res = subspace_contains_unit([coords.a[:, j] for j in range(coords.ncols)], alg.multiply,
+                                 alg.unit, alg.field, budget=budget, seed=seed)
+    return _STATUS[res.status], res
+
+
+def _right_dual_unit_search(C: Coring, null: Matrix, budget: int,
+                            seed: int) -> tuple[str, UnitSearchResult, DualAlgebra]:
+    """:func:`_unit_search` over the columns vec(p) of null, inside C*."""
+    dual = right_dual_algebra(C)
+    coords = dual.coords_of_columns(null)
+    if coords is None:
+        raise AssertionError("p-equation solution escaped the right dual")
+    return *_unit_search(coords, dual.algebra, budget, seed), dual
 
 
 def _comodule_map_of(C: Coring, p: Matrix) -> Matrix:
@@ -107,29 +133,15 @@ def is_inner(f: CoringMorphism, budget: int = DEFAULT_BUDGET, seed: int = 0) -> 
     bijection)."""
     _require_automorphism(f)
     C = f.source
-    k = C.field
-    space = inner_witness_space(f)
-    if not space:
-        return InnerTestResult(f, NOT_INNER, solution_space_dim=0)
-    dual = right_dual_algebra(C)
-    coords = []
-    for p in space:
-        x = dual.coords(p)
-        if x is None:
-            raise AssertionError("p-equation solution escaped the right dual")
-        coords.append(x)
-    res = subspace_contains_unit(coords, dual.algebra.multiply, dual.algebra.unit,
-                                 k, budget=budget, seed=seed)
-    if res.status == UNDECIDED:
-        return InnerTestResult(f, UNDECIDED, solution_space_dim=len(space))
-    if res.status == CERTIFIED_NONE:
-        return InnerTestResult(f, NOT_INNER, certainty=res.certainty,
-                               solution_space_dim=len(space))
-    p = dual.element(res.element)
-    q = dual.element(res.inverse)
+    null = _p_equation_kernel(C, f.phi, C.delta_ambient)
+    status, res, dual = _right_dual_unit_search(C, null, budget, seed)
+    if status != INNER:
+        return InnerTestResult(f, status, certainty=res.certainty,
+                               solution_space_dim=null.ncols)
+    p, q = dual.element(res.element), dual.element(res.inverse)
     _verify_inner_witness(f, p, q)
     return InnerTestResult(f, INNER, witness=p, witness_inverse=q,
-                           certainty=res.certainty, solution_space_dim=len(space))
+                           certainty=res.certainty, solution_space_dim=null.ncols)
 
 
 def _verify_inner_witness(f: CoringMorphism, p: DualElement, q: DualElement) -> None:
@@ -243,21 +255,15 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
     found: list[CoringMorphism] = []
     spent = 0
     for rho in rhos:
-        blocks = []
-        rhs_parts = []
-        eyeC = Matrix.eye(k, d)
+        # eps phi = rho eps, then phi a = rho(a) phi on both sides
+        blocks = [sandwich_rows(C.epsilon, Matrix.eye(k, d))]
         for a in range(A.dim):
             ra = rho.matrix.col(a)
-            blocks.append((eyeC.kron(C.bimodule.left_action[a].T)
-                           - C.bimodule.left_act(ra).kron(eyeC)).a)
-            rhs_parts.append(k.zeros((d * d,)))
-            blocks.append((eyeC.kron(C.bimodule.right_action[a].T)
-                           - C.bimodule.right_act(ra).kron(eyeC)).a)
-            rhs_parts.append(k.zeros((d * d,)))
-        blocks.append(C.epsilon.kron(eyeC).a)
-        rhs_parts.append((rho.matrix @ C.epsilon).a.reshape(-1))
-        system = Matrix(k, np.vstack(blocks))
-        rhs = np.concatenate(rhs_parts)
+            blocks.append(commute_rows(C.bimodule.left_action[a], C.bimodule.left_act(ra)))
+            blocks.append(commute_rows(C.bimodule.right_action[a], C.bimodule.right_act(ra)))
+        system = Matrix.vstack(blocks)
+        rhs = k.zeros((system.nrows,))
+        rhs[: A.dim * d] = (rho.matrix @ C.epsilon).a.reshape(-1)
         part = system.solve(rhs)
         if part is None:
             continue
@@ -270,16 +276,8 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
         else:
             remaining = total
         spent += min(total, remaining)
-        count = 0
-        for t in itertools.product(range(k.p), repeat=m):
-            if count >= remaining:
-                break
-            count += 1
-            vec = part.copy()
-            for c, j in zip(t, range(m)):
-                if c:
-                    vec = vec + null.a[:, j] * c
-            phi = Matrix(k, k.normalize(vec).reshape(d, d))
+        for t in itertools.islice(itertools.product(range(k.p), repeat=m), remaining):
+            phi = Matrix(k, (part + null.a @ np.array(t, dtype=k.dtype)).reshape(d, d))
             if not phi.is_invertible():
                 continue
             both = C.square.induce_or_none(phi.kron(phi), C.square)
@@ -448,17 +446,13 @@ def graded_dual_element(Gd: GradedData, coring: Coring, values: Matrix) -> DualE
 
 def graded_dual_values(Gd: GradedData, p: DualElement) -> Matrix:
     """Extract {p(1_A (x) x)}_x from a full dual element."""
-    A = Gd.algebra
+    return p.values @ _unit_columns(Gd)
+
+
+def _unit_columns(Gd: GradedData) -> Matrix:
+    """The elements 1_A (x) x of A (x) kX as columns, index (t, x) -> t * nX + x."""
     k = Gd.field
-    nX = Gd.set_size
-    cols = []
-    for x in range(nX):
-        vec = k.zeros((A.dim * nX,))
-        for t in range(A.dim):
-            if A.unit[t] != k.scalar(0):
-                vec[t * nX + x] = A.unit[t]
-        cols.append(p.values @ vec)
-    return Matrix(k, np.stack(cols, axis=1))
+    return Matrix.column(k, Gd.algebra.unit).kron(Matrix.eye(k, Gd.set_size))
 
 
 def graded_dual_invertible(values: Matrix, Gd: GradedData) -> Optional[Matrix]:
@@ -501,14 +495,48 @@ class KernelMembershipResult:
         return self.status == INNER
 
 
-def _values_unit_search(Gd: GradedData, basis_vals: list[Matrix], budget: int,
-                        seed: int) -> tuple[UnitSearchResult, Algebra]:
-    alg = graded_values_algebra(Gd)
-    k = Gd.field
-    coords = [k.normalize(V.a.T).reshape(-1) for V in basis_vals]
-    res = subspace_contains_unit(coords, alg.multiply, alg.unit, k,
-                                 budget=budget, seed=seed)
-    return res, alg
+def _graded_twist_rows(Gd: GradedData, sigma: Matrix) -> list[Matrix]:
+    """Rows of p(a (x) x) = sigma(a) p(1 (x) x) on the values V (dA x nX,
+    column x = p(1 (x) x)): V[:, x . deg(t)^-1] u_t == sigma(u_t) V[:, x]."""
+    A, k = Gd.algebra, Gd.field
+    nX = Gd.set_size
+    rows = []
+    for t in range(A.dim):
+        ginv = group_inverse(Gd.group, Gd.degrees[t])
+        shift = k.zeros((nX, nX))  # column x picks V[:, x . deg(t)^-1]
+        for x in range(nX):
+            shift[Gd.gset[x][ginv], x] = k.scalar(1)
+        rows.append(sandwich_rows(A.basis_right_mult(t), Matrix(k, shift))
+                    - sandwich_rows(A.left_mult(sigma.col(t)), Matrix.eye(k, nX)))
+    return rows
+
+
+def _graded_kernel(Gd: GradedData, phi: Matrix, sigma: Matrix, budget: int,
+                   seed: int) -> tuple[str, UnitSearchResult, int, Optional[Matrix]]:
+    """The criterion of :func:`graded_ker_omega` with sigma in place of rho:
+    conditions (i) and (ii) on the values V = {p(1 (x) x)}_x, then a unit
+    search in :func:`graded_values_algebra`.  Returns the status, the search
+    result, the solution-space dimension and the witness values."""
+    A, k = Gd.algebra, Gd.field
+    nX, dA = Gd.set_size, A.dim
+    images = (phi @ _unit_columns(Gd)).a.reshape(dA, nX, nX)  # a^x_y = images[:, y, x]
+    eyeX = Matrix.eye(k, nX)
+    rows = _graded_twist_rows(Gd, sigma)
+    for x in range(nX):
+        at_x = eyeX.submatrix(range(nX), [x])
+        for y in range(nX):
+            if not np.any(images[:, y, x] != k.scalar(0)):
+                continue
+            L = A.left_mult(images[:, y, x])
+            rows += [sandwich_rows(L @ Gd.component_projector(h), at_x)
+                     for h in range(Gd.group_order) if Gd.gset[y][h] != x]
+    null = Matrix.vstack(rows).nullspace()
+    m = null.ncols
+    # vec(V) is indexed (r, x); the values algebra is indexed (x, r)
+    coords = Matrix._raw(k, null.a.reshape(dA, nX, m).transpose(1, 0, 2).reshape(nX * dA, m))
+    status, res = _unit_search(coords, graded_values_algebra(Gd), budget, seed)
+    values = Matrix(k, res.element.reshape(nX, dA).T) if status == INNER else None
+    return status, res, m, values
 
 
 def graded_ker_omega(f: CoringMorphism, Gd: GradedData,
@@ -523,70 +551,14 @@ def graded_ker_omega(f: CoringMorphism, Gd: GradedData,
     both linear in the values {p(1 (x) x)}, plus invertibility by the
     graded criterion."""
     _require_automorphism(f)
-    C = f.source
-    A = Gd.algebra
-    k = Gd.field
-    nX, dA = Gd.set_size, A.dim
-    nunk = dA * nX  # values matrix V: dA x nX, vec by (r, x) -> r * nX + x
-    rows = []
-    # phi(1 (x) x) coefficients a^x_y
-    unit_cols = {}
-    for x in range(nX):
-        vec = k.zeros((dA * nX,))
-        for t in range(dA):
-            if A.unit[t] != k.scalar(0):
-                vec[t * nX + x] = A.unit[t]
-        unit_cols[x] = f.phi @ vec
-    for x in range(nX):
-        img = unit_cols[x]
-        for y in range(nX):
-            a_xy = k.normalize(np.array([img[t * nX + y] for t in range(dA)], dtype=k.dtype))
-            if not np.any(a_xy != k.scalar(0)):
-                continue
-            L = A.left_mult(a_xy)
-            for h in range(Gd.group_order):
-                if Gd.gset[y][h] == x:
-                    continue
-                proj = Gd.component_projector(h)
-                cond = (L @ proj).a  # applied to v_x
-                for out in range(dA):
-                    row = k.zeros((nunk,))
-                    for r in range(dA):
-                        row[r * nX + x] = cond[out, r]
-                    rows.append(row)
-    # p(a (x) x) = rho(a) p(1 (x) x):  v_{x . deg(t)^-1} . u_t == rho(u_t) v_x
-    for t in range(dA):
-        Rt = A.basis_right_mult(t)
-        Lr = A.left_mult(f.rho.matrix.col(t))
-        ginv = group_inverse(Gd.group, Gd.degrees[t])
-        for x in range(nX):
-            src = Gd.gset[x][ginv]
-            for out in range(dA):
-                row = k.zeros((nunk,))
-                for r in range(dA):
-                    row[r * nX + src] = row[r * nX + src] + Rt.a[out, r]
-                    row[r * nX + x] = row[r * nX + x] - Lr.a[out, r]
-                rows.append(row)
-    if rows:
-        null = Matrix(k, np.stack(rows, axis=0)).nullspace()
-    else:
-        null = Matrix.eye(k, nunk)
-    basis_vals = [Matrix(k, null.col(j).reshape(dA, nX)) for j in range(null.ncols)]
-    if not basis_vals:
-        return KernelMembershipResult(NOT_INNER, solution_space_dim=0)
-    res, alg = _values_unit_search(Gd, basis_vals, budget, seed)
-    if res.status == UNDECIDED:
-        return KernelMembershipResult(UNDECIDED, solution_space_dim=len(basis_vals))
-    if res.status == CERTIFIED_NONE:
-        return KernelMembershipResult(NOT_INNER, certainty=res.certainty,
-                                      solution_space_dim=len(basis_vals))
-    values = Matrix(k, res.element.reshape(nX, dA).T)
-    p = graded_dual_element(Gd, C, values)
-    if convolution_inverse(p) is None:
-        raise AssertionError("graded witness is not convolution invertible generically")
-    return KernelMembershipResult(INNER, witness_values=values, witness=p,
-                                  certainty=res.certainty,
-                                  solution_space_dim=len(basis_vals))
+    status, res, dim, values = _graded_kernel(Gd, f.phi, f.rho.matrix, budget, seed)
+    p = None
+    if status == INNER:
+        p = graded_dual_element(Gd, f.source, values)
+        if convolution_inverse(p) is None:
+            raise AssertionError("graded witness is not convolution invertible generically")
+    return KernelMembershipResult(status, witness_values=values, witness=p,
+                                  certainty=res.certainty, solution_space_dim=dim)
 
 
 # -- entwining / DK kernel criteria -------------------------------------------
@@ -618,66 +590,13 @@ def entwining_ker_membership(E: EntwiningStructure, alpha: Matrix, gamma: Matrix
     coring, crep = coring_from_entwining(E)
     if not crep.ok:
         raise InvalidStructureError("entwining data does not induce a coring", crep)
-    A, C = E.algebra, E.coalgebra
-    k = A.field
-    dA, dC = A.dim, C.dim
-    d = dA * dC
-    dC_full = C.delta_ambient.a  # dC^2 x dC
-    unitvec = A.unit
-    # unknown p: dA x d, row-major vec (r, s) -> r*d + s
-    nunk = dA * d
-    rows = []
-    zero = k.scalar(0)
-    for i in range(dA):
-        alpha_i = alpha.col(i)
-        for j in range(dC):
-            block = k.zeros((d, nunk))
-            for c1 in range(dC):
-                base = k.normalize(np.kron(alpha_i, gamma.col(c1)))  # in A (x) C
-                for c2 in range(dC):
-                    w = dC_full[c1 * dC + c2, j]
-                    if w == zero:
-                        continue
-                    # lhs: (alpha(a_i) (x) gamma(c_1)) . p(1 (x) c_2), the
-                    # psi-twisted right action by the A-element p(1 (x) c_2)
-                    for r in range(dA):
-                        act = k.normalize(coring.bimodule.right_action[r].a @ base)
-                        for t in range(dA):
-                            u = unitvec[t]
-                            if u == zero:
-                                continue
-                            col = r * d + t * dC + c2
-                            block[:, col] = k.normalize(block[:, col] + w * u * act)
-                    # rhs: p(a_i (x) c_1) (x) c_2
-                    for r in range(dA):
-                        col = r * d + i * dC + c1
-                        block[r * dC + c2, col] = k.normalize(block[r * dC + c2, col] - w)
-            rows.append(block)
-    eyeA, eyeD = Matrix.eye(k, dA), Matrix.eye(k, d)
-    for a in range(dA):
-        rows.append((eyeA.kron(coring.bimodule.right_action[a].T)
-                     - A.basis_right_mult(a).kron(eyeD)).a)
-    null = Matrix(k, np.vstack(rows)).nullspace()
-    space = [Matrix(k, null.col(j).reshape(dA, d)) for j in range(null.ncols)]
-    if not space:
-        return KernelMembershipResult(NOT_INNER, solution_space_dim=0)
-    dual = right_dual_algebra(coring)
-    coords = []
-    for p in space:
-        x = dual.coords(p)
-        if x is None:
-            raise AssertionError("entwining p-space escaped the right dual")
-        coords.append(x)
-    res = subspace_contains_unit(coords, dual.algebra.multiply, dual.algebra.unit,
-                                 k, budget=budget, seed=seed)
-    if res.status == UNDECIDED:
-        return KernelMembershipResult(UNDECIDED, solution_space_dim=len(space))
-    if res.status == CERTIFIED_NONE:
-        return KernelMembershipResult(NOT_INNER, certainty=res.certainty,
-                                      solution_space_dim=len(space))
-    p = dual.element(res.element)
-    return KernelMembershipResult(INNER, witness=p, certainty=res.certainty,
-                                  solution_space_dim=len(space))
+    # the p-equation of the induced automorphism, with Delta represented by
+    # (a (x) c_1) (x) (1 (x) c_2)
+    null = _p_equation_kernel(coring, alpha.kron(gamma), entwined_delta_ambient(E))
+    status, res, dual = _right_dual_unit_search(coring, null, budget, seed)
+    p = dual.element(res.element) if status == INNER else None
+    return KernelMembershipResult(status, witness=p, certainty=res.certainty,
+                                  solution_space_dim=null.ncols)
 
 
 def entwining_coring_automorphism(E: EntwiningStructure, alpha: Matrix,
@@ -765,14 +684,17 @@ def graded_triple_coring_automorphism(Gd: GradedData, f_map: Sequence[int],
     """The induced automorphism (alpha (x) gamma, alpha) of A (x) kX, where
     gamma permutes the set basis by phi_map."""
     C = coring if coring is not None else graded_coring(Gd)
-    k = Gd.field
-    nx = Gd.set_size
-    gamma = k.zeros((nx, nx))
-    one = k.scalar(1)
-    for x in range(nx):
-        gamma[phi_map[x], x] = one
-    phi = alpha.kron(Matrix(k, gamma))
+    phi = _graded_triple_phi(Gd, phi_map, alpha)
     return CoringMorphism(C, C, phi, AlgebraMorphism(Gd.algebra, Gd.algebra, alpha))
+
+
+def _graded_triple_phi(Gd: GradedData, phi_map: Sequence[int], alpha: Matrix) -> Matrix:
+    """alpha (x) gamma on A (x) kX, where gamma permutes the set basis by phi_map."""
+    k = Gd.field
+    gamma = k.zeros((Gd.set_size, Gd.set_size))
+    for x, y in enumerate(phi_map):
+        gamma[y, x] = k.scalar(1)
+    return alpha.kron(Matrix(k, gamma))
 
 
 def graded_triple_ker_membership(Gd: GradedData, f_map: Sequence[int],
@@ -783,56 +705,17 @@ def graded_triple_ker_membership(Gd: GradedData, f_map: Sequence[int],
     criterion: an invertible p with
 
         p(a (x) x) = alpha(a) p(1 (x) x),
-        p(1 (x) x)_h = 0   whenever phi(x) h != x."""
+        p(1 (x) x)_h = 0   whenever phi(x) h != x,
+
+    which is the criterion of :func:`graded_ker_omega` for the induced
+    automorphism, decided without building the coring."""
     rep = check_graded_triple(Gd, f_map, phi_map, alpha)
     if not rep.ok:
         raise InvalidStructureError("invalid graded triple", rep)
     if not alpha.is_invertible() or sorted(phi_map) != list(range(Gd.set_size)) \
             or sorted(f_map) != list(range(Gd.group_order)):
         raise InvalidStructureError("graded triple is not an automorphism")
-    A = Gd.algebra
-    k = Gd.field
-    nX, dA = Gd.set_size, A.dim
-    nunk = dA * nX  # values matrix V: dA x nX, vec (r, x) -> r*nX + x
-    rows = []
-    # (i) component vanishing
-    for x in range(nX):
-        for h in range(Gd.group_order):
-            if Gd.gset[phi_map[x]][h] == x:
-                continue
-            proj = Gd.component_projector(h)
-            for out in range(dA):
-                row = k.zeros((nunk,))
-                for r in range(dA):
-                    row[r * nX + x] = proj.a[out, r]
-                rows.append(row)
-    # (ii) p(a (x) x) = alpha(a) p(1 (x) x)
-    for t in range(dA):
-        Rt = A.basis_right_mult(t)
-        La = A.left_mult(alpha.col(t))
-        ginv = group_inverse(Gd.group, Gd.degrees[t])
-        for x in range(nX):
-            src = Gd.gset[x][ginv]
-            for out in range(dA):
-                row = k.zeros((nunk,))
-                for r in range(dA):
-                    row[r * nX + src] = row[r * nX + src] + Rt.a[out, r]
-                    row[r * nX + x] = row[r * nX + x] - La.a[out, r]
-                rows.append(row)
-    if rows:
-        null = Matrix(k, np.stack(rows, axis=0)).nullspace()
-    else:
-        null = Matrix.eye(k, nunk)
-    basis_vals = [Matrix(k, null.col(j).reshape(dA, nX)) for j in range(null.ncols)]
-    if not basis_vals:
-        return KernelMembershipResult(NOT_INNER, solution_space_dim=0)
-    res, _ = _values_unit_search(Gd, basis_vals, budget, seed)
-    if res.status == UNDECIDED:
-        return KernelMembershipResult(UNDECIDED, solution_space_dim=len(basis_vals))
-    if res.status == CERTIFIED_NONE:
-        return KernelMembershipResult(NOT_INNER, certainty=res.certainty,
-                                      solution_space_dim=len(basis_vals))
-    values = Matrix(k, res.element.reshape(nX, dA).T)
-    return KernelMembershipResult(INNER, witness_values=values,
-                                  certainty=res.certainty,
-                                  solution_space_dim=len(basis_vals))
+    status, res, dim, values = _graded_kernel(Gd, _graded_triple_phi(Gd, phi_map, alpha),
+                                              alpha, budget, seed)
+    return KernelMembershipResult(status, witness_values=values,
+                                  certainty=res.certainty, solution_space_dim=dim)

@@ -1,6 +1,8 @@
 """The command-line surface: round-trips, exit codes, determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -291,3 +293,63 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "exactseq" in proc.stdout
+
+
+def _assert_parse_error(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("degrees", ["x", 1]),
+    ("group", [["x", 1], [1, 0]]),
+    ("gset", [[0, 1], [1, True]]),
+])
+def test_malformed_graded_integers_are_parse_errors(tmp_path, capsys, key, value):
+    path = str(tmp_path / "g.json")
+    run(capsys, "build", "graded", "--group", "2", "--field", "F3", "-o", path)
+    doc = doc_io.load(path)
+    doc["payload"][key] = value
+    doc_io.save(path, doc)
+    _assert_parse_error(["validate", path], capsys)
+
+
+@pytest.mark.parametrize("key,value", [("f", ["x", 1]), ("phi", [1, 0.5])])
+def test_malformed_triple_integers_are_parse_errors(tmp_path, capsys, key, value):
+    gpath, tpath = str(tmp_path / "g.json"), str(tmp_path / "t.json")
+    run(capsys, "build", "graded", "--group", "2", "--field", "F3", "-o", gpath)
+    payload = {"f": [0, 1], "phi": [1, 0], "alpha": [[1, 0], [0, 1]]}
+    payload[key] = value
+    doc_io.save(tpath, doc_io.document("morphism", F3, payload))
+    _assert_parse_error(["dk-ker", gpath, tpath], capsys)
+
+
+def test_bool_residue_is_parse_error(tmp_path, capsys):
+    path = str(tmp_path / "t.json")
+    run(capsys, "build", "trivial", "--dim", "1", "--field", "F2", "-o", path)
+    doc = doc_io.load(path)
+    doc["payload"]["base"]["unit"] = [True]
+    doc_io.save(path, doc)
+    _assert_parse_error(["validate", path], capsys)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
+    """A reader that is gone before the first write (``corings ... | head``
+    after head exits) gives exit 1 and nothing on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "corings.cli", "build", "trivial", "--field", "F2",
+             "-o", str(tmp_path / "t.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

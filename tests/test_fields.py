@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from corings import GF, QQ, FieldSpec, Matrix
-from corings.fields import _rref, _rref_gf2_packed, basis_vector
+from corings.fields import (_rref, _rref_gf2_packed, basis_vector, commute_rows,
+                            sandwich_rows)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -305,3 +306,48 @@ def test_q_products_on_both_sides_of_the_int64_bound():
         A, B = Matrix(QQ, a), Matrix(QQ, b)
         assert (A @ B).a.tolist() == _naive_matmul(a, b)
         assert A.kron(B).a.tolist() == _naive_kron(a, b)
+
+
+# -- the row builders for linear conditions on an unknown matrix ------------
+
+HELPER_FIELDS = [QQ, F2, F3]
+
+
+def _naive_product(field, *mats):
+    """The product of matrices given as lists of rows, by plain loops."""
+    out = [[field.scalar(x) for x in row] for row in mats[0]]
+    for b in mats[1:]:
+        b = [[field.scalar(x) for x in row] for row in b]
+        out = [[field.scalar(sum(out[i][t] * b[t][j] for t in range(len(b))))
+                for j in range(len(b[0]))] for i in range(len(out))]
+    return out
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sandwich_rows_maps_vec_f_to_vec_xfy(field, data):
+    p, n, m, q = (data.draw(st.integers(1, 4)) for _ in range(4))
+    X, F, Y = (data.draw(_rows(_entries(field), r, c)) for r, c in ((p, n), (n, m), (m, q)))
+    S = sandwich_rows(Matrix(field, X), Matrix(field, Y))
+    assert S.shape == (p * q, n * m)
+    vec_f = [field.scalar(x) for row in F for x in row]
+    assert (S @ vec_f).tolist() == [x for row in _naive_product(field, X, F, Y) for x in row]
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_commute_rows_kernel_is_the_intertwiners(field, data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    small = st.integers(-1, 1)
+    X = data.draw(_rows(small, m, m))
+    # Y = X (when square) makes the kernel nonzero: it holds the commutant of X
+    Y = X if n == m and data.draw(st.booleans()) else data.draw(_rows(small, n, n))
+    rows = commute_rows(Matrix(field, X), Matrix(field, Y))
+    K = rows.nullspace()
+    _, pivots = _sympy_rref(field, rows.a.tolist())
+    assert K.ncols == n * m - len(pivots)
+    for j in range(K.ncols):
+        F = K.col(j).reshape(n, m).tolist()
+        assert _naive_product(field, F, X) == _naive_product(field, Y, F)

@@ -440,3 +440,20 @@ def test_graded_triple_invalid_rejected():
     with pytest.raises(InvalidStructureError):
         # phi not equivariant for f = id
         graded_triple_ker_membership(Gd, [0, 1], [1, 1], Matrix.eye(F3, 2))
+
+
+@pytest.mark.parametrize("phi_map", [[0, 1], [1, 0]], ids=["phi=id", "phi=swap"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["alpha=id", "alpha=sign"])
+def test_entwining_and_dk_criteria_over_q(phi_map, sign):
+    """Over Q, the entwining and DK criteria agree with the generic route and
+    with both graded criteria on the four automorphisms of k[Z_2] graded by
+    the regular Z_2-set."""
+    Gd = kz2_graded(QQ)
+    alpha = Matrix(QQ, [[1, 0], [0, sign]])
+    gamma = Matrix(QQ, [[int(phi_map[x] == y) for x in range(2)] for y in range(2)])
+    m = graded_triple_coring_automorphism(Gd, [0, 1], phi_map, alpha)
+    want = is_inner(m).status
+    assert graded_ker_omega(m, Gd).status == want
+    assert graded_triple_ker_membership(Gd, [0, 1], phi_map, alpha).status == want
+    assert entwining_ker_membership(entwining_from_graded(Gd), alpha, gamma).status == want
+    assert dk_ker_membership(dk_from_graded(Gd), Matrix.eye(QQ, 2), alpha, gamma).status == want
