@@ -4,11 +4,13 @@ their morphisms, and bimodules with commuting actions.
 An algebra of dimension d over k is the tensor ``mult[i, j, :]`` expanding
 each product of basis vectors in the basis, together with the coefficient
 vector of the unit.  Bimodules store one action matrix per algebra basis
-vector on each side.
+vector on each side, and contract algebra-valued maps against either side
+(:meth:`Bimodule.right_contraction`, :meth:`Bimodule.left_contraction`).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,28 +97,15 @@ def _combination(field: FieldSpec, mats: Sequence[Matrix], coeffs: np.ndarray) -
 def check_algebra(A: Algebra) -> Report:
     """Associativity on all basis triples and two-sided unit law."""
     rb = ReportBuilder(f"algebra dim {A.dim} over {A.field}")
-    ok, where = True, None
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = A.mult[i, j, :]
-            for k in range(A.dim):
-                lhs = A.multiply(ij, basis_vector(A.field, A.dim, k))
-                rhs = A.multiply(basis_vector(A.field, A.dim, i), A.mult[j, k, :])
-                if not np.all(lhs == rhs):
-                    ok, where = False, f"triple ({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rb.add("associativity", ok, where)
-    ok, where = True, None
-    for j in range(A.dim):
-        e = basis_vector(A.field, A.dim, j)
-        if not (np.all(A.multiply(A.unit, e) == e) and np.all(A.multiply(e, A.unit) == e)):
-            ok, where = False, f"basis {A.name_of(j)}"
-            break
-    rb.add("unit-law", ok, where)
+    e = [basis_vector(A.field, A.dim, i) for i in range(A.dim)]
+    rb.add_all("associativity", (
+        (f"triple ({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})",
+         np.all(A.multiply(A.mult[i, j, :], e[k]) == A.multiply(e[i], A.mult[j, k, :])))
+        for i, j, k in product(range(A.dim), repeat=3)))
+    rb.add_all("unit-law", (
+        (f"basis {A.name_of(j)}",
+         np.all(A.multiply(A.unit, e[j]) == e[j]) and np.all(A.multiply(e[j], A.unit) == e[j]))
+        for j in range(A.dim)))
     return rb.build()
 
 
@@ -152,18 +141,8 @@ def check_group_table(table: Sequence[Sequence[int]]) -> Report:
     rb.add("shape", shape_ok)
     if not shape_ok:
         return rb.build()
-    ok, where = True, None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    ok, where = False, f"triple ({a},{b},{c})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rb.add("associativity", ok, where)
+    rb.add_all("associativity", ((f"triple ({a},{b},{c})", t[t[a][b]][c] == t[a][t[b][c]])
+                                 for a, b, c in product(range(n), repeat=3)))
     e = next((x for x in range(n) if all(t[x][y] == y and t[y][x] == y for y in range(n))), None)
     rb.add("identity", e is not None)
     if e is not None:
@@ -247,35 +226,35 @@ class Bimodule:
         I = Matrix.eye(self.field, self.dim)
         rb.add("left-unit", self.left_act(B.unit) == I)
         rb.add("right-unit", self.right_act(A.unit) == I)
-        ok, where = True, None
-        for i in range(B.dim):
-            for j in range(B.dim):
-                if self.left_action[i] @ self.left_action[j] != self.left_act(B.mult[i, j, :]):
-                    ok, where = False, f"pair ({i},{j})"
-                    break
-            if not ok:
-                break
-        rb.add("left-associativity", ok, where)
-        ok, where = True, None
-        for i in range(A.dim):
-            for j in range(A.dim):
-                # m*(ab) = (m*a)*b, so the operator of ab is R_b R_a
-                if self.right_action[j] @ self.right_action[i] != self.right_act(A.mult[i, j, :]):
-                    ok, where = False, f"pair ({i},{j})"
-                    break
-            if not ok:
-                break
-        rb.add("right-associativity", ok, where)
-        ok, where = True, None
-        for i in range(B.dim):
-            for j in range(A.dim):
-                if self.left_action[i] @ self.right_action[j] != self.right_action[j] @ self.left_action[i]:
-                    ok, where = False, f"pair ({i},{j})"
-                    break
-            if not ok:
-                break
-        rb.add("actions-commute", ok, where)
+        L, R = self.left_action, self.right_action
+        rb.add_all("left-associativity", (
+            (f"pair ({i},{j})", L[i] @ L[j] == self.left_act(B.mult[i, j, :]))
+            for i, j in product(range(B.dim), repeat=2)))
+        # m*(ab) = (m*a)*b, so the operator of ab is R_b R_a
+        rb.add_all("right-associativity", (
+            (f"pair ({i},{j})", R[j] @ R[i] == self.right_act(A.mult[i, j, :]))
+            for i, j in product(range(A.dim), repeat=2)))
+        rb.add_all("actions-commute", ((f"pair ({i},{j})", L[i] @ R[j] == R[j] @ L[i])
+                                       for i, j in product(range(B.dim), range(A.dim))))
         return rb.build()
+
+    def right_contraction(self, g: Matrix) -> Matrix:
+        """m (x) x -> m . g(x) on M (x)_k X, for g: X -> A given as a
+        (dim A) x n matrix: the map sum_a R_a (x) g[a]."""
+        d, n = self.dim, g.ncols
+        return Matrix._raw(self.field, (self._stacked(self.right_action) @ g).a.reshape(d, d * n))
+
+    def left_contraction(self, g: Matrix) -> Matrix:
+        """x (x) m -> g(x) . m on X (x)_k M, for g: X -> B given as a
+        (dim B) x n matrix: the map sum_b g[b] (x) L_b."""
+        d, n = self.dim, g.ncols
+        out = (self._stacked(self.left_action) @ g).a.reshape(d, d, n).transpose(0, 2, 1)
+        return Matrix._raw(self.field, out.reshape(d, n * d))
+
+    def _stacked(self, actions: Sequence[Matrix]) -> Matrix:
+        """The actions as the columns vec(X_a) of one dim^2 x (dim algebra) matrix."""
+        arr = np.stack([X.a for X in actions], axis=2)
+        return Matrix._raw(self.field, arr.reshape(self.dim * self.dim, len(actions)))
 
     def __repr__(self) -> str:
         return f"Bimodule(dim={self.dim}, left={self.left_algebra!r}, right={self.right_algebra!r})"
@@ -336,18 +315,11 @@ class AlgebraMorphism:
     def validate(self) -> Report:
         rb = ReportBuilder("algebra morphism")
         rb.add("unit", np.all(self.matrix @ self.source.unit == self.target.unit))
-        ok, where = True, None
-        for i in range(self.source.dim):
-            fi = self.matrix.col(i)
-            for j in range(self.source.dim):
-                lhs = self.matrix @ self.source.mult[i, j, :]
-                rhs = self.target.multiply(fi, self.matrix.col(j))
-                if not np.all(lhs == rhs):
-                    ok, where = False, f"pair ({i},{j})"
-                    break
-            if not ok:
-                break
-        rb.add("multiplicative", ok, where)
+        F = self.matrix
+        rb.add_all("multiplicative", (
+            (f"pair ({i},{j})",
+             np.all(F @ self.source.mult[i, j, :] == self.target.multiply(F.col(i), F.col(j))))
+            for i, j in product(range(self.source.dim), repeat=2)))
         return rb.build()
 
     def is_isomorphism(self) -> bool:
@@ -387,8 +359,7 @@ def is_projective_right(M: Bimodule) -> bool:
         return True
     free = free_right_module(A, n)
     # surjection pi: A^n -> M, column (i, j) -> e_i * a_j
-    pi = Matrix(f, np.stack([M.right_action[j].a[:, i] for i in range(n) for j in range(A.dim)],
-                            axis=1))
+    pi = M.right_contraction(Matrix.eye(f, A.dim))
     # unknown sigma: M -> A^n with pi sigma = 1 and sigma right-linear
     eye = Matrix.eye(f, n)
     rows = [sandwich_rows(pi, eye)]

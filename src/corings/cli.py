@@ -85,11 +85,26 @@ def _report_machine(rep: Report) -> dict:
 
 
 def _parse_field_arg(txt: str) -> FieldSpec:
+    """A field from ``--field``: Q, or F<p> for a prime p."""
     if txt.upper() == "Q":
         return QQ
-    if txt.upper().startswith("F"):
-        return GF(int(txt[1:]))
-    raise DocumentError(f"field must be Q or F<p>, got {txt!r}")
+    try:
+        if txt.upper().startswith("F"):
+            return GF(int(txt[1:]))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"field must be Q or F<p> with p prime, got {txt!r}")
+
+
+def _positive_arg(raw: str) -> int:
+    """A size or order from the command line: an integer >= 1."""
+    try:
+        val = int(raw)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return val
 
 
 # -- validate -----------------------------------------------------------------
@@ -124,7 +139,7 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     started = time.time()
-    f = _parse_field_arg(args.field)
+    f = args.field
     family = args.family
     if family == "trivial":
         if args.dim == 1:
@@ -459,13 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="emit a structure document for a named family")
     b.add_argument("family", choices=["trivial", "matrix", "grouplike",
                                       "entwining", "graded", "graded-coring"])
-    b.add_argument("--field", default="F2", help="Q or F<p> (default F2)")
-    b.add_argument("--dim", type=int, default=1, help="trivial: cyclic group order of the base")
-    b.add_argument("-n", type=int, default=2, help="matrix size / group-like basis size")
-    b.add_argument("--base-group", type=int, default=1,
+    b.add_argument("--field", type=_parse_field_arg, default="F2",
+                   help="Q or F<p> (default F2)")
+    b.add_argument("--dim", type=_positive_arg, default=1,
+                   help="trivial: cyclic group order of the base")
+    b.add_argument("-n", type=_positive_arg, default=2,
+                   help="matrix size / group-like basis size")
+    b.add_argument("--base-group", type=_positive_arg, default=1,
                    help="matrix: base algebra k[Z_n] order (1 = base field)")
-    b.add_argument("--group", type=int, default=2, help="graded: cyclic group order")
-    b.add_argument("--points", type=int, default=1,
+    b.add_argument("--group", type=_positive_arg, default=2, help="graded: cyclic group order")
+    b.add_argument("--points", type=_positive_arg, default=1,
                    help="graded with --trivial-action: number of set points")
     b.add_argument("--trivial-action", action="store_true",
                    help="graded: use the trivial G-set instead of the regular one")

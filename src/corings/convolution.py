@@ -50,18 +50,11 @@ class DualElement:
     def validate(self) -> Report:
         rb = ReportBuilder(f"dual element ({self.side})")
         C, A = self.coring, self.coring.base
-        ok, where = True, None
-        for a in range(A.dim):
-            if self.side == RIGHT:
-                lhs = self.values @ C.bimodule.right_action[a]
-                rhs = A.basis_right_mult(a) @ self.values
-            else:
-                lhs = self.values @ C.bimodule.left_action[a]
-                rhs = A.basis_left_mult(a) @ self.values
-            if lhs != rhs:
-                ok, where = False, f"a-basis {A.name_of(a)}"
-                break
-        rb.add("one-sided-linearity", ok, where)
+        acts, mult = ((C.bimodule.right_action, A.basis_right_mult) if self.side == RIGHT
+                      else (C.bimodule.left_action, A.basis_left_mult))
+        rb.add_all("one-sided-linearity", (
+            (f"a-basis {A.name_of(a)}", self.values @ acts[a] == mult(a) @ self.values)
+            for a in range(A.dim)))
         return rb.build()
 
     def __eq__(self, other):
@@ -78,22 +71,12 @@ def counit_element(C: Coring, side: str = RIGHT) -> DualElement:
 
 def _convolve_right(C: Coring, f: Matrix, g: Matrix) -> Matrix:
     """(f * g)(c) = sum f(g(c_1) . c_2)."""
-    k = C.field
-    d = C.dim
-    B = k.zeros((d, d * d))
-    for j in range(d):
-        B[:, j * d : (j + 1) * d] = C.bimodule.left_act(g.col(j)).a
-    return f @ (Matrix(k, B) @ C.delta_ambient)
+    return f @ (C.bimodule.left_contraction(g) @ C.delta_ambient)
 
 
 def _convolve_left(C: Coring, f: Matrix, g: Matrix) -> Matrix:
     """(f * g)(c) = sum f(c_1 . g(c_2))."""
-    k = C.field
-    d = C.dim
-    B = k.zeros((d, d * d))
-    for j in range(d):
-        B[:, j::d] = C.bimodule.right_act(g.col(j)).a
-    return f @ (Matrix(k, B) @ C.delta_ambient)
+    return f @ (C.bimodule.right_contraction(g) @ C.delta_ambient)
 
 
 class DualAlgebra:
@@ -230,14 +213,9 @@ def comodule_to_dual_module(M: Comodule) -> DualModuleTransport:
         raise InvalidStructureError("the coring is not left projective over its base")
     dual = left_dual_algebra(C)
     k = C.field
-    dM, dC = M.dim, C.dim
+    dM = M.dim
     rho_amb = M.rho_ambient()
-    acts = []
-    for h in dual.basis:
-        E = k.zeros((dM, dM * dC))
-        for j in range(dC):
-            E[:, j::dC] = M.module.right_act(h.col(j)).a
-        acts.append(Matrix(k, E) @ rho_amb)
+    acts = [M.module.right_contraction(h) @ rho_amb for h in dual.basis]
     R = dual.opposite
     module = Bimodule(scalar_algebra(k), R, dM,
                       [Matrix.eye(k, dM)], acts)

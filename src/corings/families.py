@@ -13,6 +13,7 @@ testable property of the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -237,21 +238,12 @@ def entwined_to_comodule(E: EntwiningStructure, module: Bimodule,
 
     # M (x) (A (x) C) and (M (x) A) (x) C share the same flat index, so the
     # action contraction composes directly after I_M (x) psi(- (x) a)
-    actM = f.zeros((dM, dM * dA))
-    for i in range(dM):
-        for b in range(dA):
-            actM[:, i * dA + b] = module.right_action[b].a[:, i]
-    actM = Matrix(f, actM)
+    act = module.right_contraction(Matrix.eye(f, dA)).kron(Matrix.eye(f, dC))
     rb = ReportBuilder("entwined-module compatibility")
-    ok, where = True, None
-    for b in range(dA):
-        lhs = rho_plain @ module.right_action[b]
-        rhs = actM.kron(Matrix.eye(f, dC)) \
-            @ Matrix.eye(f, dM).kron(E.psi_partial(b)) @ rho_plain
-        if lhs != rhs:
-            ok, where = False, f"a-basis {b}"
-            break
-    rb.add("entwined-compatibility", ok, where)
+    rb.add_all("entwined-compatibility", (
+        (f"a-basis {b}", rho_plain @ module.right_action[b]
+         == act @ Matrix.eye(f, dM).kron(E.psi_partial(b)) @ rho_plain)
+        for b in range(dA)))
     compat_report = rb.build()
     return como, comodule_report, compat_report
 
@@ -275,24 +267,6 @@ class Bialgebra:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
-    def multiply2(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Componentwise product on H (x) H: (a (x) b)(c (x) d) = ac (x) bd."""
-        A = self.algebra
-        f = self.field
-        d = self.dim
-        out = f.zeros((d * d,))
-        zero = f.scalar(0)
-        for ab in range(d * d):
-            if u[ab] == zero:
-                continue
-            a, b = divmod(ab, d)
-            for cd in range(d * d):
-                if v[cd] == zero:
-                    continue
-                c, dd = divmod(cd, d)
-                out = out + u[ab] * v[cd] * np.kron(A.mult[a, c, :], A.mult[b, dd, :])
-        return f.normalize(out)
-
     def validate(self) -> Report:
         rb = ReportBuilder("bialgebra")
         from .algebra import check_algebra
@@ -302,30 +276,15 @@ class Bialgebra:
         rb.add("coassociativity", self.delta.kron(I) @ self.delta == I.kron(self.delta) @ self.delta)
         rb.add("counit", self.epsilon.kron(I) @ self.delta == I
                and I.kron(self.epsilon) @ self.delta == I)
-        ok, where = True, None
-        for i in range(d):
-            for j in range(d):
-                lhs = self.delta @ self.algebra.mult[i, j, :]
-                rhs = self.multiply2(self.delta.col(i), self.delta.col(j))
-                if not np.all(lhs == rhs):
-                    ok, where = False, f"pair ({i},{j})"
-                    break
-            if not ok:
-                break
-        rb.add("delta-multiplicative", ok, where)
-        rb.add("delta-unital", np.all(self.delta @ self.algebra.unit
-                                      == np.kron(self.algebra.unit, self.algebra.unit)))
-        ok = True
-        for i in range(d):
-            for j in range(d):
-                lhs = self.epsilon @ self.algebra.mult[i, j, :]
-                rhs = self.epsilon.col(i) * self.epsilon.col(j)
-                if not np.all(f.normalize(lhs) == f.normalize(rhs)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        rb.add("epsilon-multiplicative", ok)
+        A, D, eps = self.algebra, self.delta, self.epsilon
+        rb.add_all("delta-multiplicative", (
+            (f"pair ({i},{j})", np.all(D @ A.mult[i, j, :]
+                                       == _tensor_algebra_product(A, A, D.col(i), D.col(j))))
+            for i, j in product(range(d), repeat=2)))
+        rb.add("delta-unital", np.all(D @ A.unit == np.kron(A.unit, A.unit)))
+        rb.add("epsilon-multiplicative", all(
+            np.all(f.normalize(eps @ A.mult[i, j, :]) == f.normalize(eps.col(i) * eps.col(j)))
+            for i, j in product(range(d), repeat=2)))
         rb.add("epsilon-unital", np.all(self.epsilon @ self.algebra.unit
                                         == np.asarray([f.scalar(1)], dtype=f.dtype)))
         return rb.build()
@@ -371,17 +330,10 @@ class DKStructure:
         rb.add("coaction-coassociative",
                IA.kron(H.delta) @ rho == rho.kron(IH) @ rho)
         rb.add("coaction-counital", IA.kron(H.epsilon) @ rho == IA)
-        ok, where = True, None
-        for i in range(dA):
-            for j in range(dA):
-                lhs = rho @ A.mult[i, j, :]
-                rhs = _tensor_algebra_product(A, H.algebra, rho.col(i), rho.col(j))
-                if not np.all(lhs == rhs):
-                    ok, where = False, f"pair ({i},{j})"
-                    break
-            if not ok:
-                break
-        rb.add("coaction-multiplicative", ok, where)
+        rb.add_all("coaction-multiplicative", (
+            (f"pair ({i},{j})", np.all(rho @ A.mult[i, j, :] == _tensor_algebra_product(
+                A, H.algebra, rho.col(i), rho.col(j))))
+            for i, j in product(range(dA), repeat=2)))
         rb.add("coaction-unital",
                np.all(rho @ A.unit == np.kron(A.unit, H.algebra.unit)))
         act = self.action
@@ -494,35 +446,19 @@ class GradedData:
         if shape_ok and rb.build().ok:
             e = group_identity(self.group)
             rb.add("gset-identity", all(self.gset[x][e] == x for x in range(nx)))
-            ok, where = True, None
-            for x in range(nx):
-                for g in range(n):
-                    for h in range(n):
-                        if self.gset[self.gset[x][g]][h] != self.gset[x][self.group[g][h]]:
-                            ok, where = False, f"(x,g,h)=({x},{g},{h})"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            rb.add("gset-associativity", ok, where)
+            X, G = self.gset, self.group
+            rb.add_all("gset-associativity", (
+                (f"(x,g,h)=({x},{g},{h})", X[X[x][g]][h] == X[x][G[g][h]])
+                for x, g, h in product(range(nx), range(n), range(n))))
         A = self.algebra
         rb.add("degrees-shape", len(self.degrees) == A.dim
                and all(0 <= d < n for d in self.degrees))
         zero = self.field.scalar(0)
-        ok, where = True, None
-        for i in range(A.dim):
-            for j in range(A.dim):
-                want = self.group[self.degrees[i]][self.degrees[j]]
-                for k in range(A.dim):
-                    if A.mult[i, j, k] != zero and self.degrees[k] != want:
-                        ok, where = False, f"product ({i},{j}) hits degree of basis {k}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rb.add("grading-multiplicative", ok, where)
+        deg = self.degrees
+        rb.add_all("grading-multiplicative", (
+            (f"product ({i},{j}) hits degree of basis {k}",
+             A.mult[i, j, k] == zero or deg[k] == self.group[deg[i]][deg[j]])
+            for i, j, k in product(range(A.dim), repeat=3)))
         e = group_identity(self.group) if check_group_table(self.group).ok else 0
         ok = all(A.unit[i] == zero or self.degrees[i] == e for i in range(A.dim))
         rb.add("unit-homogeneous", ok)

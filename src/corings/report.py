@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,14 @@ class ReportBuilder:
     def add(self, name: str, ok: bool, witness: Optional[str] = None) -> bool:
         self._checks.append(Check(name, bool(ok), None if ok else witness))
         return bool(ok)
+
+    def add_all(self, name: str, cases: Iterable[tuple[Optional[str], bool]]) -> bool:
+        """One check over lazy ``(witness, ok)`` cases: it fails with the
+        witness of the first failing case, and no later case is evaluated."""
+        for witness, ok in cases:
+            if not ok:
+                return self.add(name, False, witness)
+        return self.add(name, True)
 
     def merge(self, other: Report, prefix: str = "") -> None:
         for c in other.checks:

@@ -5,7 +5,9 @@ balancing subspace span{(m.a)(x)n - m(x)(a.n)}.  A quotient carries a
 ``project`` matrix (ambient -> quotient) and a ``section`` (quotient ->
 ambient, a right inverse of project) built from the reduced row echelon
 form of the relation matrix: sections are coordinate embeddings on the
-non-pivot columns, so bases are deterministic.
+non-pivot columns, so bases are deterministic.  A map on the ambient
+space passes to the quotient through :meth:`TensorQuotient.descend`, which
+first checks that it kills every balancing relation.
 
 Chains of factors quotient the full k-tensor product by every adjacent
 balancing family at once, which agrees with either iterated bracketing.
@@ -123,17 +125,21 @@ class TensorQuotient:
 
     # -- induced maps -----------------------------------------------------
 
-    def contains_in_kernel(self, ambient_map: Matrix, target: "TensorQuotient") -> Optional[np.ndarray]:
-        """First balancing generator not mapped into target's balancing
-        subspace by ``ambient_map``, or None if the map is balanced."""
-        if self.relations.nrows == 0:
-            return None
-        image = target.project @ (ambient_map @ self.relations.T)
-        zero = self.field.scalar(0)
-        bad = np.nonzero((image.a != zero).any(axis=0))[0]
-        if bad.size:
-            return self.relations.row(int(bad[0]))
-        return None
+    def descend(self, ambient_map: Matrix) -> Matrix:
+        """``ambient_map @ section``: the map on this quotient induced by a
+        map on the ambient tensor space.
+
+        The map must kill every balancing relation; otherwise this raises
+        BalancednessError with the first relation it does not kill as the
+        witness.
+        """
+        if self.relations.nrows:
+            image = ambient_map @ self.relations.T
+            bad = np.nonzero((image.a != self.field.scalar(0)).any(axis=0))[0]
+            if bad.size:
+                raise BalancednessError("ambient map does not descend to the quotient",
+                                        witness=self.relations.row(int(bad[0])))
+        return ambient_map @ self.section
 
     def induce(self, ambient_map: Matrix, target: "TensorQuotient") -> Matrix:
         """The unique map on quotients making the projection square commute.
@@ -144,10 +150,7 @@ class TensorQuotient:
         """
         if ambient_map.shape != (target.ambient_dim, self.ambient_dim):
             raise ValueError("ambient map shape mismatch")
-        witness = self.contains_in_kernel(ambient_map, target)
-        if witness is not None:
-            raise BalancednessError("ambient map does not descend to the quotient", witness=witness)
-        return target.project @ ambient_map @ self.section
+        return self.descend(target.project @ ambient_map)
 
     def induce_or_none(self, ambient_map: Matrix, target: "TensorQuotient") -> Optional[Matrix]:
         try:

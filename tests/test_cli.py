@@ -353,3 +353,35 @@ def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("key,value", [("phi", [5, 0]), ("f", [0, 7]), ("phi", [1])])
+def test_out_of_range_triple_is_invalid_structure(tmp_path, capsys, key, value):
+    """Maps that leave the group or the G-set fail their shape checks; the
+    checks that would index with them are not run."""
+    gpath, tpath = str(tmp_path / "g.json"), str(tmp_path / "t.json")
+    run(capsys, "build", "graded", "--group", "2", "--field", "F3", "-o", gpath)
+    payload = {"f": [0, 1], "phi": [1, 0], "alpha": [[1, 0], [0, 1]]}
+    payload[key] = value
+    doc_io.save(tpath, doc_io.document("morphism", F3, payload))
+    assert main(["dk-ker", gpath, tpath]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid structure: invalid graded triple") and "Traceback" not in err
+    assert "[FAIL] " + ("phi-map-shape" if key == "phi" else "f-group-morphism") in err
+    assert "phi-equivariant" not in err and "alpha-degree-compatible" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["grouplike", "--field", "Fx"],
+    ["grouplike", "--field", "F4"],
+    ["grouplike", "-n", "0"],
+    ["matrix", "-n", "0"],
+    ["trivial", "--dim", "0"],
+    ["graded", "--group", "0"],
+    ["graded-coring", "--trivial-action", "--points", "0"],
+])
+def test_build_usage_errors_are_parse_errors(tmp_path, capsys, args):
+    assert main(["build", *args, "-o", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
