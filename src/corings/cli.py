@@ -22,8 +22,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from . import io as doc_io
 from .algebra import check_algebra, group_algebra
 from .comodule import (ISOMORPHIC, check_comodule, cotensor, regular_bicomodule,
@@ -56,7 +54,9 @@ def _budget_arg(raw: str) -> int:
     return val
 
 
-def _default_budget() -> int:
+def _budget(args: argparse.Namespace) -> int:
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
@@ -210,7 +210,7 @@ def cmd_inner(args) -> int:
         _emit(["morphism is not a coring automorphism", str(rep)],
               {"command": "inner", "status": "invalid-morphism"} | _report_machine(rep), started)
         return FAIL
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     res = is_inner(m, budget=budget, seed=args.seed)
     prose = [f"status: {res.status} (solution space dim {res.solution_space_dim})"]
     machine = {"command": "inner", "status": res.status,
@@ -239,7 +239,7 @@ def cmd_inner(args) -> int:
 def cmd_exactseq(args) -> int:
     started = time.time()
     f, C = _load_coring(args.coring)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     if args.enumerate:
         auts = enumerate_automorphisms(C, fix_rho_identity=not args.full_rho, budget=budget)
     else:
@@ -406,7 +406,7 @@ def cmd_graded_ker(args) -> int:
     C = graded_coring(Gd)
     mdoc = doc_io.load(args.morphism)
     m = doc_io.morphism_from_payload(f, mdoc["payload"], C)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     res = graded_ker_omega(m, Gd, budget=budget, seed=args.seed)
     cross = is_inner(m, budget=budget, seed=args.seed) if args.cross_check else None
     return _emit_membership(res, cross, started, "graded-ker")
@@ -425,7 +425,7 @@ def cmd_entwining_ker(args) -> int:
                                      E.algebra.dim, E.algebra.dim, "alpha")
     gamma = doc_io._matrix_from_json(f, doc_io._get(payload, "gamma"),
                                      E.coalgebra.dim, E.coalgebra.dim, "gamma")
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     res = entwining_ker_membership(E, alpha, gamma, budget=budget, seed=args.seed)
     cross = None
     if args.cross_check:
@@ -448,7 +448,7 @@ def cmd_dk_ker(args) -> int:
     phi_map = doc_io._ints_from_json(doc_io._get(payload, "phi"), "phi")
     alpha = doc_io._matrix_from_json(f, doc_io._get(payload, "alpha"),
                                      Gd.algebra.dim, Gd.algebra.dim, "alpha")
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     res = graded_triple_ker_membership(Gd, f_map, phi_map, alpha,
                                        budget=budget, seed=args.seed)
     cross = None

@@ -168,8 +168,6 @@ def convolution_inverse(p: DualElement) -> Optional[DualElement]:
     x = dual.coords(p.values)
     if x is None:
         raise InvalidStructureError("element is not one-sided A-linear")
-    k = p.coring.field
-    m = dual.dim
     alg = dual.algebra
     # operators of y -> y*x and y -> x*y on dual coordinates
     rmul = alg.right_mult(x)

@@ -8,10 +8,12 @@ form, solving, nullspaces and inverses with no rounding anywhere.
 Each field has one exact kernel behind :class:`Matrix` and :func:`_rref`:
 
 - F_2 eliminates by XOR, on packed bit rows once the matrix has at least
-  8 rows and columns.  Products are integer products reduced mod 2.
+  8 rows and columns.
 - F_p (p odd) eliminates on residue arrays.  After each pivot only the rows
   that the pivot touched are updated and reduced mod p; every other row
-  is already reduced.  Products are integer products reduced mod p.
+  is already reduced.
+- F_p products are integer products reduced mod p; large ones run exactly
+  on float64 BLAS, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, TOMS 2008).
 - Q eliminates fraction-free: each row is scaled once to integers, a
   pivot updates a touched row ``R_i`` to ``pv * R_i - c * R_piv`` on Python
   ints and divides it by the gcd of its entries, and only the final pivot
@@ -317,14 +319,28 @@ class Matrix:
         return self._wrap(self.a * self.field.scalar(c))
 
     def __matmul__(self, other):
-        if isinstance(other, Matrix):
-            if self.field.kind == "Q":
-                return self._wrap(_q_product(np.matmul, self.a, other.a, self.ncols))
-            return self._wrap(self.a @ other.a)
-        v = as_vector(self.field, other)
-        if self.field.kind == "Q":
-            return _q_product(np.matmul, self.a, v, self.ncols)
-        return self.field.normalize(self.a @ v)
+        """Product with a Matrix (a Matrix) or a vector (a reduced array).
+
+        F_p products of rows * k * cols >= 4096 multiply-adds run on float64
+        BLAS while ``k * (p-1)^2 < 2^53``: every partial sum is then an exact
+        integer, whatever the summation order or thread count.  The rest run
+        in int64 (object for p > 2^20).  Measured on one Xeon thread, F_3:
+
+            rows x k x cols   int64     float64
+            4 x 4 x 4         3.0 us    4.6 us
+            16 x 16 x 16      9.0 us    7.8 us
+            64 x 64 x 64      307 us    42 us
+            81 x 729 x 81     5.8 ms    0.86 ms
+        """
+        f, a = self.field, self.a
+        b = other.a if isinstance(other, Matrix) else as_vector(f, other)
+        if f.kind == "Q":
+            out = _q_product(np.matmul, a, b, a.shape[1])
+        elif a.shape[0] * b.size >= 4096 and a.shape[1] * (f.p - 1) ** 2 < 1 << 53:
+            out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % f.p
+        else:
+            out = a @ b % f.p
+        return Matrix._raw(f, out) if isinstance(other, Matrix) else out
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.a.size == 0 or other.a.size == 0:

@@ -192,7 +192,6 @@ def _algebra_automorphisms(A: Algebra, budget: int) -> tuple[list[AlgebraMorphis
     if k.kind != "Fp":
         raise InvalidStructureError("automorphism enumeration needs a finite field")
     n = A.dim * A.dim
-    total = k.p ** n
     out = []
     complete = True
     count = 0

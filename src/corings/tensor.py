@@ -9,8 +9,9 @@ non-pivot columns, so bases are deterministic.  A map on the ambient
 space passes to the quotient through :meth:`TensorQuotient.descend`, which
 first checks that it kills every balancing relation.
 
-Chains of factors quotient the full k-tensor product by every adjacent
-balancing family at once, which agrees with either iterated bracketing.
+Chains of three or more factors are bracketed to the left, one pair at a
+time on the (previous quotient) x (next factor) ambient; see
+:class:`TensorQuotient`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,28 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import Bimodule
-from .fields import Matrix
+from .fields import Matrix, basis_vector
 from .report import BalancednessError
 
 
 class TensorQuotient:
     """Quotient of M_1 (x)_k ... (x)_k M_r by adjacent balancing relations.
+
+    Three or more factors are bracketed to the left: ``head =
+    TensorQuotient(factors[:-1])``, then only the relations of
+    ``(head.module, factors[-1])`` are eliminated, on the ``head.dim *
+    d_last`` ambient, giving ``project = P_last @ (P_head (x) I)`` and
+    ``section = (S_head (x) I) @ S_last`` (no products when the head has no
+    relations, as over a base field k).  When the middle factors' actions
+    commute, as a bimodule's do, these are byte for byte the matrices of
+    eliminating every adjacent relation on the full ambient at once: both
+    have the whole balancing subspace as kernel, are the identity on their
+    free columns, and have the same free columns.  A relation leading at
+    (i, j), i a free head column, keeps that leading index while the rows
+    (reduced echelon row of the head) (x) e_j' clear its pivot head columns:
+    each is zero before its pivot, which lies after (i, j).  What is left is
+    ``(S_head (x) I) w``, w a relation of the last step leading at the
+    matching column; and every such lift is a relation.
 
     Attributes:
         factors: the bimodules, with matching inner algebras.
@@ -33,7 +50,8 @@ class TensorQuotient:
         dim: dimension of the quotient.
         project: (dim x ambient_dim) quotient map.
         section: (ambient_dim x dim) right inverse of project.
-        relations: matrix whose rows span the balancing subspace.
+        relations: rows spanning the relations of the last pair eliminated
+            (for a chain, on the ambient of its last step).
         module: the induced (leftmost, rightmost) bimodule on the quotient.
     """
 
@@ -47,27 +65,30 @@ class TensorQuotient:
             if P.right_algebra is not Q.left_algebra and \
                P.right_algebra.dim != Q.left_algebra.dim:
                 raise ValueError("inner algebras of adjacent factors must match")
-        dims = [m.dim for m in factors]
-        n = int(np.prod(dims)) if dims else 1
-        self.ambient_dim = n
+        self.ambient_dim = n = int(np.prod([m.dim for m in factors]))
+        self._module: Optional[Bimodule] = None
+
+        if len(factors) > 2:
+            if column_order is not None:
+                raise ValueError("column_order permutes a two-factor ambient only")
+            head = TensorQuotient(factors[:-1])
+            last = TensorQuotient([head.module, factors[-1]])
+            self.relations, self.dim = last.relations, last.dim
+            self.project, self.section = last.project, last.section
+            if head.dim < head.ambient_dim:
+                I = Matrix.eye(field, factors[-1].dim)
+                self.project = last.project @ head.project.kron(I)
+                self.section = head.section.kron(I) @ last.section
+            self._last = last
+            return
+        self._last = None
 
         rel_blocks = []
-        for pos in range(len(factors) - 1):
-            left_dim = int(np.prod(dims[:pos])) if pos else 1
-            right_dim = int(np.prod(dims[pos + 2:])) if pos + 2 < len(dims) else 1
-            M, N = factors[pos], factors[pos + 1]
-            IL = Matrix.eye(field, left_dim)
-            IR = Matrix.eye(field, right_dim)
-            zero = field.scalar(0)
+        zero = field.scalar(0)
+        for M, N in zip(factors, factors[1:]):
             for a in range(M.right_algebra.dim):
-                core = M.right_action[a].T.kron(Matrix.eye(field, N.dim)) \
-                    - Matrix.eye(field, M.dim).kron(N.left_action[a].T)
-                block = core
-                if left_dim > 1:
-                    block = IL.kron(block)
-                if right_dim > 1:
-                    block = block.kron(IR)
-                arr = block.a
+                arr = (M.right_action[a].T.kron(Matrix.eye(field, N.dim))
+                       - Matrix.eye(field, M.dim).kron(N.left_action[a].T)).a
                 keep = (arr != zero).any(axis=1)
                 if keep.any():
                     rel_blocks.append(arr[keep, :])
@@ -103,18 +124,19 @@ class TensorQuotient:
             section = section[inv, :]
         self.project = Matrix._raw(field, field.normalize(project))
         self.section = Matrix._raw(field, section)
-        self._module: Optional[Bimodule] = None
 
     @property
     def module(self) -> Bimodule:
-        """The induced (leftmost, rightmost) bimodule on the quotient."""
+        """The induced (leftmost, rightmost) bimodule on the quotient; a
+        chain shares the module of its last step, which has the same basis."""
+        if self._last is not None:
+            return self._last.module
         if self._module is None:
             field = self.field
             dims = [m.dim for m in self.factors]
             left_alg = self.factors[0].left_algebra
             right_alg = self.factors[-1].right_algebra
-            rest = int(np.prod(dims[1:])) if len(dims) > 1 else 1
-            head = int(np.prod(dims[:-1])) if len(dims) > 1 else 1
+            rest, head = int(np.prod(dims[1:])), int(np.prod(dims[:-1]))
             Ir, Ih = Matrix.eye(field, rest), Matrix.eye(field, head)
             lact = [self.project @ self.factors[0].left_action[i].kron(Ir) @ self.section
                     for i in range(left_alg.dim)]
@@ -129,17 +151,22 @@ class TensorQuotient:
         """``ambient_map @ section``: the map on this quotient induced by a
         map on the ambient tensor space.
 
-        The map must kill every balancing relation; otherwise this raises
-        BalancednessError with the first relation it does not kill as the
-        witness.
+        The map M must kill every balancing relation, i.e. the kernel of
+        project.  ``I - section @ project`` projects onto that kernel, so M
+        kills it iff ``M == (M @ section) @ project``.  Otherwise this raises
+        BalancednessError; the witness is column j of ``I - section @
+        project`` for the first column j where the two sides differ, a
+        balancing relation that M does not kill.
         """
-        if self.relations.nrows:
-            image = ambient_map @ self.relations.T
-            bad = np.nonzero((image.a != self.field.scalar(0)).any(axis=0))[0]
+        down = ambient_map @ self.section
+        if self.dim < self.ambient_dim:
+            bad = np.nonzero((ambient_map.a != (down @ self.project).a).any(axis=0))[0]
             if bad.size:
+                e = basis_vector(self.field, self.ambient_dim, int(bad[0]))
+                witness = self.field.normalize(e - self.section @ (self.project @ e))
                 raise BalancednessError("ambient map does not descend to the quotient",
-                                        witness=self.relations.row(int(bad[0])))
-        return ambient_map @ self.section
+                                        witness=witness)
+        return down
 
     def induce(self, ambient_map: Matrix, target: "TensorQuotient") -> Matrix:
         """The unique map on quotients making the projection square commute.

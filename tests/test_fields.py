@@ -308,6 +308,60 @@ def test_q_products_on_both_sides_of_the_int64_bound():
         assert A.kron(B).a.tolist() == _naive_kron(a, b)
 
 
+# -- F_p products on both sides of the float64 BLAS gate ----------------------
+
+# shapes (rows, k, cols) below and above the 4096 multiply-add gate; cols 0
+# multiplies by a vector of length k
+_FP_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)),
+    st.tuples(st.integers(8, 16), st.integers(32, 48), st.integers(16, 24)),
+    st.tuples(st.integers(64, 80), st.integers(64, 80), st.just(0)))
+
+
+def _residues(field, data, shape):
+    """Residues from a drawn seed, all p-1 (the largest partial sums) or random."""
+    if data.draw(st.booleans()):
+        return np.full(shape, field.p - 1, dtype=np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, field.p, size=shape, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, (1 << 31) - 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fp_products_match_integer_loops(p, data):
+    """Matrix and vector products over F_p equal plain integer loops reduced
+    mod p, with reduced entries of the field's dtype (int64 below 2^20),
+    whether they run on float64 BLAS or in int64/object."""
+    f = GF(p)
+    m, k, n = data.draw(_FP_SHAPES)
+    a = _residues(f, data, (m, k)).tolist()
+    b = _residues(f, data, (k, max(n, 1))).tolist()
+    A = Matrix(f, a)
+    want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(len(b[0]))]
+            for i in range(m)]
+    if n:
+        out = (A @ Matrix(f, b)).a
+    else:
+        out = A @ [row[0] for row in b]
+        want = [row[0] for row in want]
+    assert out.dtype == f.dtype
+    assert out.tolist() == want
+    assert all(0 <= x < p for x in out.reshape(-1).tolist())
+
+
+def test_fp_product_past_the_float64_bound_stays_exact():
+    # k * (p-1)^2 >= 2^53 for p = 1048573 (the largest prime below 2^20) and
+    # k = 8200: float64 would round these partial sums, int64 does not
+    p, k = 1048573, 8200
+    f = GF(p)
+    assert k * (p - 1) ** 2 >= 1 << 53 and f.dtype is np.int64
+    A = Matrix(f, np.full((1, k), p - 1, dtype=np.int64))
+    B = Matrix(f, np.full((k, 1), p - 1, dtype=np.int64))
+    assert (A @ B).a.tolist() == [[k * (p - 1) ** 2 % p]]
+    assert (A @ np.full(k, p - 1, dtype=np.int64)).tolist() == [k * (p - 1) ** 2 % p]
+
+
 # -- the row builders for linear conditions on an unknown matrix ------------
 
 HELPER_FIELDS = [QQ, F2, F3]

@@ -1,11 +1,18 @@
 """Tensor products over the base algebra as explicit quotients: unit
 isomorphisms, associativity of bracketings, induced maps, and independence
-from the section choice."""
+from the section choice.
 
+Chains of three factors are built by left bracketing; ``chain_oracle``
+keeps the all-at-once construction (every adjacent balancing family on the
+full k-tensor product, one elimination) as their referee."""
+
+import numpy as np
 import pytest
 
-from corings import (GF, QQ, Matrix, group_algebra, matrix_algebra, regular_bimodule,
-                     scalar_algebra, tensor_chain, tensor_over)
+from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix,
+                     coring_from_entwining, cyclic_group, graded_coring, group_algebra,
+                     grouplike_coalgebra, matrix_algebra, matrix_coring, regular_bicomodule,
+                     regular_bimodule, regular_gset, scalar_algebra, tensor_chain, tensor_over)
 from corings.report import BalancednessError
 from corings.tensor import TensorQuotient
 
@@ -141,3 +148,115 @@ def test_mismatched_inner_algebras_rejected():
     B = matrix_algebra(F2, 2)
     with pytest.raises(ValueError):
         tensor_over(regular_bimodule(A), regular_bimodule(B))
+
+
+# -- the all-at-once chain quotient as a referee for left bracketing ---------
+
+def chain_oracle(factors):
+    """Relations, project, section and induced bimodule of M_1 (x) ... (x) M_r
+    quotiented by every adjacent balancing family at once, on the full
+    k-tensor product, in one elimination."""
+    field = factors[0].field
+    dims = [m.dim for m in factors]
+    blocks = []
+    for pos, (M, N) in enumerate(zip(factors, factors[1:])):
+        IL = Matrix.eye(field, int(np.prod(dims[:pos])))
+        IR = Matrix.eye(field, int(np.prod(dims[pos + 2:])))
+        for a in range(M.right_algebra.dim):
+            core = M.right_action[a].T.kron(Matrix.eye(field, N.dim)) \
+                - Matrix.eye(field, M.dim).kron(N.left_action[a].T)
+            blocks.append(IL.kron(core).kron(IR).a)
+    relations = Matrix(field, np.vstack(blocks))
+    # the rows of the rref kernel basis are the project matrix: identity on
+    # the free columns, minus the reduced rows on the pivot columns
+    project = relations.nullspace().T
+    n, q = project.ncols, project.nrows
+    _, pivots = relations.rref()
+    free = [j for j in range(n) if j not in set(pivots)]
+    section = Matrix.zeros(field, n, q)
+    for idx, j in enumerate(free):
+        section.a[j, idx] = field.scalar(1)
+    rest, head = int(np.prod(dims[1:])), int(np.prod(dims[:-1]))
+    lact = [project @ L.kron(Matrix.eye(field, rest)) @ section for L in factors[0].left_action]
+    ract = [project @ Matrix.eye(field, head).kron(R) @ section for R in factors[-1].right_action]
+    module = Bimodule(factors[0].left_algebra, factors[-1].right_algebra, q, lact, ract)
+    return relations, project, section, module
+
+
+def _same(x: Matrix, y: Matrix) -> bool:
+    """Entry for entry equal, with the same dtype and entry types."""
+    return (x.a.dtype == y.a.dtype and x.shape == y.shape
+            and x.a.tolist() == y.a.tolist()
+            and [type(v) for v in x.a.reshape(-1)] == [type(v) for v in y.a.reshape(-1)])
+
+
+def _kz(n, field):
+    A, _ = group_algebra(cyclic_group(n), field)
+    return A
+
+
+def _graded(n, field):
+    G = cyclic_group(n)
+    A, degrees = group_algebra(G, field)
+    return graded_coring(GradedData(G, regular_gset(G), A, degrees))
+
+
+def _entwined(seed):
+    """The coring on A (x) C of a seeded random psi over F2: mostly not an
+    entwining, so mostly an invalid coring, but its bimodule's actions
+    commute and its cube is a chain all the same."""
+    rng = np.random.default_rng(seed)
+    psi = Matrix(F2, rng.integers(0, 2, size=(4, 4)))
+    coring, _ = coring_from_entwining(
+        EntwiningStructure(dual_numbers(F2), grouplike_coalgebra(2, F2), psi))
+    return coring
+
+
+REGULAR = {"F2[t]/t^2": lambda: dual_numbers(F2), "F3[Z2]": lambda: _kz(2, F3),
+           "Q[Z2]": lambda: _kz(2, QQ)}
+CORINGS = {"Mc2(F2[t]/t^2)": lambda: matrix_coring(dual_numbers(F2), 2),
+           "Mc2(F3[Z2])": lambda: matrix_coring(_kz(2, F3), 2),
+           "graded Z2/F3": lambda: _graded(2, F3), "graded Z3/F3": lambda: _graded(3, F3),
+           **{f"entwined psi seed {s}": (lambda s=s: _entwined(s)) for s in range(4)}}
+# each case builds its chain through the library's own call site
+CHAINS = {
+    **{f"{name} regular": (lambda A=A: tensor_chain([regular_bimodule(A())] * 3))
+       for name, A in REGULAR.items()},
+    **{f"{name} cube": (lambda C=C: C().cube) for name, C in CORINGS.items()},
+    **{f"{name} mcc": (lambda C=C: regular_bicomodule(C()).as_right.mcc)
+       for name, C in CORINGS.items()},
+    **{f"{name} ccm": (lambda C=C: regular_bicomodule(C()).as_left.ccm)
+       for name, C in CORINGS.items()},
+}
+
+
+@pytest.mark.parametrize("build", CHAINS.values(), ids=CHAINS.keys())
+def test_left_bracketed_chain_matches_all_at_once(build):
+    chain = build()
+    _, project, section, module = chain_oracle(chain.factors)
+    assert chain.dim == project.nrows
+    assert _same(chain.project, project)
+    assert _same(chain.section, section)
+    got = chain.module
+    assert all(_same(x, y) for x, y in zip(got.left_action, module.left_action))
+    assert all(_same(x, y) for x, y in zip(got.right_action, module.right_action))
+
+
+@pytest.mark.parametrize("name", ["Mc2(F2[t]/t^2)", "graded Z2/F3"])
+def test_descend_witness_is_an_unkilled_relation(name):
+    """A map that breaks balance fails with a witness in the span of the
+    all-at-once relations that the map does not kill."""
+    C = CORINGS[name]()
+    cube = C.cube
+    relations = chain_oracle(cube.factors)[0]
+    f = C.field
+    good = cube.project
+    assert cube.descend(good) == Matrix.eye(f, cube.dim)
+    for row in (0, good.nrows - 1):
+        bad = good.copy()
+        bad.a[row, :] = f.normalize(bad.a[row, :] + np.arange(cube.ambient_dim))
+        with pytest.raises(BalancednessError) as exc:
+            cube.descend(bad)
+        w = exc.value.witness
+        assert Matrix.vstack([relations, Matrix(f, w.reshape(1, -1))]).rank() == relations.rank()
+        assert any(x != f.scalar(0) for x in bad @ w)
