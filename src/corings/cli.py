@@ -190,21 +190,25 @@ def _graded_data(f: FieldSpec, args):
 
 # -- inner / exactseq ---------------------------------------------------------
 
-def _load_coring(path: str):
+def _load_doc(path: str, kind: str) -> tuple[FieldSpec, dict]:
+    """The field and payload of the document at ``path``, which must be of
+    this kind (a parse error otherwise)."""
     doc = doc_io.load(path)
-    if doc["kind"] != "coring":
-        raise DocumentError(f"{path} is not a coring document")
-    f = doc_io.parse_field(doc)
-    return f, doc_io.coring_from_payload(f, doc["payload"])
+    if doc["kind"] != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise DocumentError(f"{path} is not {article} {kind} document")
+    return doc_io.parse_field(doc), doc["payload"]
+
+
+def _load_coring(path: str):
+    f, payload = _load_doc(path, "coring")
+    return f, doc_io.coring_from_payload(f, payload)
 
 
 def cmd_inner(args) -> int:
     started = time.time()
     f, C = _load_coring(args.coring)
-    mdoc = doc_io.load(args.morphism)
-    if mdoc["kind"] != "morphism":
-        raise DocumentError(f"{args.morphism} is not a morphism document")
-    m = doc_io.morphism_from_payload(f, mdoc["payload"], C)
+    m = doc_io.morphism_from_payload(f, _load_doc(args.morphism, "morphism")[1], C)
     rep = check_coring_morphism(m)
     if not (rep.ok and m.is_isomorphism()):
         _emit(["morphism is not a coring automorphism", str(rep)],
@@ -248,10 +252,7 @@ def cmd_exactseq(args) -> int:
         elems = []
         from .picard import AutomorphismSet
         for path in args.morphisms:
-            mdoc = doc_io.load(path)
-            if mdoc["kind"] != "morphism":
-                raise DocumentError(f"{path} is not a morphism document")
-            elems.append(doc_io.morphism_from_payload(f, mdoc["payload"], C))
+            elems.append(doc_io.morphism_from_payload(f, _load_doc(path, "morphism")[1], C))
         auts = AutomorphismSet(C, elems, complete=False)
     try:
         rep = verify_exact_sequence(C, auts, budget=budget, seed=args.seed)
@@ -308,10 +309,7 @@ def cmd_dual(args) -> int:
 def cmd_convinv(args) -> int:
     started = time.time()
     f, C = _load_coring(args.coring)
-    pdoc = doc_io.load(args.element)
-    if pdoc["kind"] != "dual-element":
-        raise DocumentError(f"{args.element} is not a dual-element document")
-    p = doc_io.dual_element_from_payload(f, pdoc["payload"], C)
+    p = doc_io.dual_element_from_payload(f, _load_doc(args.element, "dual-element")[1], C)
     val = p.validate()
     if not val.ok:
         _emit(["element is not one-sided linear", str(val)],
@@ -338,10 +336,7 @@ def cmd_cotensor(args) -> int:
     def side(path: Optional[str]):
         if path is None:
             return regular_bicomodule(C)
-        mdoc = doc_io.load(path)
-        if mdoc["kind"] != "morphism":
-            raise DocumentError(f"{path} is not a morphism document")
-        m = doc_io.morphism_from_payload(f, mdoc["payload"], C)
+        m = doc_io.morphism_from_payload(f, _load_doc(path, "morphism")[1], C)
         rep = check_coring_morphism(m)
         if not (rep.ok and m.is_isomorphism()):
             raise InvalidStructureError("twist morphism is not an automorphism", rep)
@@ -398,14 +393,10 @@ def _emit_membership(res, cross, started, command) -> int:
 
 def cmd_graded_ker(args) -> int:
     started = time.time()
-    gdoc = doc_io.load(args.graded)
-    if gdoc["kind"] != "graded":
-        raise DocumentError(f"{args.graded} is not a graded document")
-    f = doc_io.parse_field(gdoc)
-    Gd = doc_io.graded_from_payload(f, gdoc["payload"])
+    f, payload = _load_doc(args.graded, "graded")
+    Gd = doc_io.graded_from_payload(f, payload)
     C = graded_coring(Gd)
-    mdoc = doc_io.load(args.morphism)
-    m = doc_io.morphism_from_payload(f, mdoc["payload"], C)
+    m = doc_io.morphism_from_payload(f, _load_doc(args.morphism, "morphism")[1], C)
     budget = _budget(args)
     res = graded_ker_omega(m, Gd, budget=budget, seed=args.seed)
     cross = is_inner(m, budget=budget, seed=args.seed) if args.cross_check else None
@@ -414,13 +405,9 @@ def cmd_graded_ker(args) -> int:
 
 def cmd_entwining_ker(args) -> int:
     started = time.time()
-    edoc = doc_io.load(args.entwining)
-    if edoc["kind"] != "entwining":
-        raise DocumentError(f"{args.entwining} is not an entwining document")
-    f = doc_io.parse_field(edoc)
-    E = doc_io.entwining_from_payload(f, edoc["payload"])
-    mdoc = doc_io.load(args.morphism)
-    payload = mdoc["payload"]
+    f, payload = _load_doc(args.entwining, "entwining")
+    E = doc_io.entwining_from_payload(f, payload)
+    payload = _load_doc(args.morphism, "morphism")[1]
     alpha = doc_io._matrix_from_json(f, doc_io._get(payload, "alpha"),
                                      E.algebra.dim, E.algebra.dim, "alpha")
     gamma = doc_io._matrix_from_json(f, doc_io._get(payload, "gamma"),
@@ -437,13 +424,9 @@ def cmd_entwining_ker(args) -> int:
 
 def cmd_dk_ker(args) -> int:
     started = time.time()
-    gdoc = doc_io.load(args.graded)
-    if gdoc["kind"] != "graded":
-        raise DocumentError(f"{args.graded} is not a graded document")
-    f = doc_io.parse_field(gdoc)
-    Gd = doc_io.graded_from_payload(f, gdoc["payload"])
-    tdoc = doc_io.load(args.triple)
-    payload = tdoc["payload"]
+    f, payload = _load_doc(args.graded, "graded")
+    Gd = doc_io.graded_from_payload(f, payload)
+    payload = _load_doc(args.triple, "morphism")[1]
     f_map = doc_io._ints_from_json(doc_io._get(payload, "f"), "f")
     phi_map = doc_io._ints_from_json(doc_io._get(payload, "phi"), "phi")
     alpha = doc_io._matrix_from_json(f, doc_io._get(payload, "alpha"),

@@ -139,6 +139,10 @@ class FieldSpec:
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         if self.kind == "Fp":
+            # past the int64 prime limit residues live in object arrays, whose
+            # products never overflow; an int64 input would keep int64 here
+            if self.p > _INT64_PRIME_LIMIT and a.dtype != object:
+                a = a.astype(object)
             return a % self.p
         if a.dtype != object:
             b = np.empty(a.shape, dtype=object)

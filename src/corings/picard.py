@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .convolution import (RIGHT, DualAlgebra, DualElement, convolution_inverse,
 from .coring import Coring, CoringMorphism, check_coring_morphism
 from .families import (DKStructure, EntwiningStructure, GradedData, coring_from_entwining,
                        entwined_delta_ambient, entwining_from_dk, graded_coring)
-from .fields import Matrix, commute_rows, sandwich_rows
+from .fields import FieldSpec, Matrix, commute_rows, sandwich_rows
 from .report import (InvalidStructureError, OracleDisagreementError, Report,
                      ReportBuilder)
 from .unitsearch import (CERTIFIED_NONE, DEFAULT_BUDGET, UNDECIDED, WITNESS,
@@ -186,28 +186,69 @@ class AutomorphismSet:
         return None
 
 
+# candidates tested per array product by the automorphism scans
+_SCAN_CHUNK = 1024
+
+
+def _affine_scan(k: FieldSpec, base: np.ndarray, null: np.ndarray,
+                 count: int) -> Iterator[np.ndarray]:
+    """Yield ``base + null @ t`` (reduced mod p, in ``k.dtype``), one row per
+    candidate in chunks of at most ``_SCAN_CHUNK`` rows, for the first
+    ``count`` vectors t of ``itertools.product(range(p), repeat=m)``, m the
+    number of columns of ``null``.
+
+    Candidate i has t = the base-p digits of i, the last coordinate the
+    least significant.  Since i < count, only the digits of weight p^j <
+    count move; the others stay 0, so the weights are Python ints below
+    ``count`` even when p^m overflows int64."""
+    p, m = k.p, null.shape[1]
+    weights = []
+    while len(weights) < m and p ** len(weights) < count:
+        weights.append(p ** len(weights))
+    # the digit of weight p^j multiplies column m - 1 - j
+    cols = null[:, m - len(weights):][:, ::-1].T
+    weights = np.array(weights, dtype=np.int64)
+    for start in range(0, count, _SCAN_CHUNK):
+        idx = np.arange(start, min(count, start + _SCAN_CHUNK), dtype=np.int64)
+        digits = (idx[:, None] // weights % p).astype(k.dtype)
+        yield (base + digits @ cols) % p
+
+
 def _algebra_automorphisms(A: Algebra, budget: int) -> tuple[list[AlgebraMorphism], bool]:
-    """Brute-force invertible algebra endomorphisms over a prime field."""
+    """Invertible algebra endomorphisms over a prime field, by scanning the
+    first ``budget`` of the p^(dim^2) matrices in ``itertools.product``
+    order (entries row-major); complete iff p^(dim^2) <= budget.
+
+    Each chunk keeps the matrices M with M 1 = 1 and M(e_i e_j) = M(e_i)
+    M(e_j), one pair (i, j) at a time; every survivor is then re-checked by
+    ``AlgebraMorphism.validate`` and ``is_invertible``."""
     k = A.field
     if k.kind != "Fp":
         raise InvalidStructureError("automorphism enumeration needs a finite field")
-    n = A.dim * A.dim
+    p, da = k.p, A.dim
+    n = da * da
+    total = p ** n
+    products = A.mult.reshape(n, da)     # row (u, v): e_u e_v
     out = []
-    complete = True
-    count = 0
-    for entries in itertools.product(range(k.p), repeat=n):
-        count += 1
-        if count > budget:
-            complete = False
-            break
-        mat = Matrix(k, np.array(entries, dtype=k.dtype).reshape(A.dim, A.dim))
-        mor = AlgebraMorphism(A, A, mat)
-        if not mor.validate().ok:
-            continue
-        if not mat.is_invertible():
-            continue
-        out.append(mor)
-    return out, complete
+    for chunk in _affine_scan(k, k.zeros((n,)), Matrix.eye(k, n).a, max(0, min(total, budget))):
+        Ms = chunk.reshape(-1, da, da)
+        Ms = Ms[(Ms @ A.unit % p == A.unit).all(axis=1)]
+        for i, j in itertools.product(range(da), repeat=2):
+            lhs = Ms @ A.mult[i, j] % p
+            outer = (Ms[:, :, i, None] * Ms[:, None, :, j]).reshape(len(Ms), n) % p
+            Ms = Ms[(lhs == outer @ products % p).all(axis=1)]
+        for arr in Ms:
+            mor = AlgebraMorphism(A, A, Matrix(k, arr))
+            if mor.validate().ok and mor.matrix.is_invertible():
+                out.append(mor)
+    return out, total <= budget
+
+
+def _sandwich_projected(phis: np.ndarray, W: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
+    """``P vec(phi W phi^T)`` for each phi of the stack ``phis``, one row
+    each; vec is row-major, so this is ``P (phi (x) phi) vec(W)``."""
+    n, d = phis.shape[:2]
+    return (phis @ W % p @ phis.transpose(0, 2, 1) % p).reshape(n, d * d) @ P.T % p
 
 
 def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
@@ -215,20 +256,49 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
     """Exhaustively enumerate Aut(C) over a prime field.
 
     For each base automorphism rho, the phi-candidates live in the affine
-    space cut out by the counit condition and rho-twisted bilinearity (both
-    linear); the quadratic comultiplication condition and bijectivity are
-    then filtered per candidate.  ``complete`` records whether every
-    candidate space was fully enumerated within the budget."""
+    space ``part + null t`` cut out by the counit condition and
+    rho-twisted bilinearity (both linear); ``complete`` records whether
+    every candidate space was fully enumerated within the budget.
+
+    The candidates are scanned in chunks of array products (``_affine_scan``),
+    each chunk filtered in this order, keeping the survivors of each step:
+
+    1. comultiplicativity ``Delta phi == P (phi (x) phi) S Delta``, column
+       by column: with X_c = vec^-1(S Delta e_c), keep the phi with
+       ``Delta phi e_c == P vec(phi X_c phi^T)``, O(d^3) per candidate
+       where phi (x) phi costs d^4.  Most candidates fail column 0, so the
+       later columns and steps see few;
+    2. balance: phi (x) phi must descend to the square, i.e. ``P vec(phi W
+       phi^T) == 0`` for every nonzero column W of ``I - S P`` -- exactly
+       the kernel that ``TensorQuotient.descend`` checks (skipped, as
+       there, when the square has no relations).  Twisted bilinearity
+       already implies it, so it rejects nothing; it certifies the
+       survivors exactly as ``descend`` would;
+    3. bijectivity, ``phi.is_invertible()`` on each survivor in order.
+
+    Here P and S are the square's project and section.  A candidate is
+    kept iff it passes all three predicates; each depends only on phi, so
+    the order of the checks does not change which candidates are kept,
+    nor their order, which is the scan order.  The budget accounting
+    (``spent``, ``remaining``, ``complete``) is per candidate space and
+    does not depend on the checks.  Every element is then re-validated by
+    ``check_coring_morphism`` and ``is_isomorphism``."""
     k = C.field
     if k.kind != "Fp":
         raise InvalidStructureError("automorphism enumeration needs a finite field")
     A = C.base
-    d = C.dim
+    d, p = C.dim, k.p
     if fix_rho_identity:
         rhos = [AlgebraMorphism.identity(A)]
         complete = True
     else:
         rhos, complete = _algebra_automorphisms(A, budget)
+    sq = C.square
+    D, P, X = C.delta.a, sq.project.a, C.delta_ambient.a
+    balance = []
+    if sq.dim < sq.ambient_dim:
+        K = (Matrix.eye(k, sq.ambient_dim) - sq.section @ sq.project).a
+        balance = [K[:, j].reshape(d, d) for j in np.flatnonzero((K != 0).any(axis=0))]
     found: list[CoringMorphism] = []
     spent = 0
     for rho in rhos:
@@ -253,16 +323,18 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
         else:
             remaining = total
         spent += min(total, remaining)
-        for t in itertools.islice(itertools.product(range(k.p), repeat=m), remaining):
-            phi = Matrix(k, (part + null.a @ np.array(t, dtype=k.dtype)).reshape(d, d))
-            if not phi.is_invertible():
-                continue
-            both = C.square.induce_or_none(phi.kron(phi), C.square)
-            if both is None:
-                continue
-            if C.delta @ phi != both @ C.delta:
-                continue
-            found.append(CoringMorphism(C, C, phi, rho))
+        for chunk in _affine_scan(k, part, null.a, remaining):
+            phis = chunk.reshape(-1, d, d)
+            for c in range(d):
+                lhs = phis[:, :, c] @ D.T % p
+                phis = phis[(lhs == _sandwich_projected(phis, X[:, c].reshape(d, d), P, p))
+                            .all(axis=1)]
+            for W in balance:
+                phis = phis[(_sandwich_projected(phis, W, P, p) == 0).all(axis=1)]
+            for arr in phis:
+                phi = Matrix(k, arr)
+                if phi.is_invertible():
+                    found.append(CoringMorphism(C, C, phi, rho))
     for g in found:
         rep = check_coring_morphism(g)
         if not (rep.ok and g.is_isomorphism()):

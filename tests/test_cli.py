@@ -325,6 +325,19 @@ def test_malformed_triple_integers_are_parse_errors(tmp_path, capsys, key, value
     _assert_parse_error(["dk-ker", gpath, tpath], capsys)
 
 
+@pytest.mark.parametrize("command,family", [("graded-ker", "graded"),
+                                            ("entwining-ker", "entwining"),
+                                            ("dk-ker", "graded")])
+def test_wrong_kind_second_document_is_parse_error(tmp_path, capsys, command, family):
+    # a coring document where the morphism (or triple) document belongs
+    first, coring = str(tmp_path / "first.json"), str(tmp_path / "coring.json")
+    run(capsys, "build", family, "--group", "2", "--field", "F3", "-o", first)
+    run(capsys, "build", "grouplike", "-n", "2", "--field", "F3", "-o", coring)
+    assert main([command, first, coring]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {coring} is not a morphism document\n"
+
+
 def test_bool_residue_is_parse_error(tmp_path, capsys):
     path = str(tmp_path / "t.json")
     run(capsys, "build", "trivial", "--dim", "1", "--field", "F2", "-o", path)

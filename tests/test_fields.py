@@ -362,6 +362,22 @@ def test_fp_product_past_the_float64_bound_stays_exact():
     assert (A @ np.full(k, p - 1, dtype=np.int64)).tolist() == [k * (p - 1) ** 2 % p]
 
 
+def test_large_prime_products_from_int64_arrays_do_not_overflow():
+    # past 2^20 residues are Python ints: (p-1)^2 * 4 overflows int64 for
+    # p = 2^31 - 1, so a matrix built from an int64 array must not stay int64
+    p = (1 << 31) - 1
+    f = GF(p)
+    want = [[4 * (p - 1) ** 2 % p]]
+    assert want == [[4]]
+    from_arrays = (Matrix(f, np.full((1, 4), p - 1, dtype=np.int64)),
+                   Matrix(f, np.full((4, 1), p - 1, dtype=np.int64)))
+    from_lists = Matrix(f, [[p - 1] * 4]), Matrix(f, [[p - 1]] * 4)
+    for A, B in (from_arrays, from_lists):
+        assert A.a.dtype == B.a.dtype == object
+        assert (A @ B).a.tolist() == want
+        assert (A @ np.full(4, p - 1, dtype=np.int64)).tolist() == want[0]
+
+
 # -- the row builders for linear conditions on an unknown matrix ------------
 
 HELPER_FIELDS = [QQ, F2, F3]

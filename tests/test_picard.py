@@ -5,21 +5,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corings import (GF, QQ, AlgebraMorphism, CoringMorphism, Matrix, check_coring_morphism,
-                     check_dk_morphism, check_entwining_morphism, check_graded_triple,
-                     dk_from_graded, dk_ker_membership, entwining_coring_automorphism,
-                     entwining_from_graded, entwining_ker_membership,
-                     enumerate_automorphisms, graded_coring, graded_dual_element,
-                     graded_dual_invertible, graded_ker_omega,
+from corings import (GF, QQ, AlgebraMorphism, CoringMorphism, GradedData, Matrix,
+                     check_coring_morphism, check_dk_morphism, check_entwining_morphism,
+                     check_graded_triple, cyclic_group, dk_from_graded, dk_ker_membership,
+                     entwining_coring_automorphism, entwining_from_graded,
+                     entwining_ker_membership, enumerate_automorphisms, graded_coring,
+                     graded_dual_element, graded_dual_invertible, graded_ker_omega,
                      graded_triple_coring_automorphism, graded_triple_ker_membership,
                      graded_values_algebra, grouplike_coalgebra, group_algebra,
                      inner_via_bicomodule, is_inner, matrix_algebra, matrix_coring,
-                     scalar_algebra, trivial_coring, verify_exact_sequence)
+                     regular_gset, scalar_algebra, trivial_coring, verify_exact_sequence)
 from corings.convolution import convolution_inverse
-from corings.fields import basis_vector
-from corings.picard import INNER, NOT_INNER
+from corings.fields import basis_vector, commute_rows, sandwich_rows
+from corings.picard import (_SCAN_CHUNK, INNER, NOT_INNER, _affine_scan,
+                            _algebra_automorphisms)
 from corings.report import InvalidStructureError
+from corings.unitsearch import DEFAULT_BUDGET
 
 from conftest import dual_numbers, kz2_graded
 
@@ -457,3 +460,171 @@ def test_entwining_and_dk_criteria_over_q(phi_map, sign):
     assert graded_triple_ker_membership(Gd, [0, 1], phi_map, alpha).status == want
     assert entwining_ker_membership(entwining_from_graded(Gd), alpha, gamma).status == want
     assert dk_ker_membership(dk_from_graded(Gd), Matrix.eye(QQ, 2), alpha, gamma).status == want
+
+
+# -- the batched automorphism scans against the per-candidate loops ------------
+
+def _product_prefix(p, m, count):
+    """The first ``count`` vectors of ``itertools.product(range(p),
+    repeat=m)``.  Their entries are below ``count``, and lexicographic order
+    restricts to the smaller alphabet, so the product over range(min(p,
+    count)) has the same prefix without building range(p) as a tuple (which
+    itertools.product would do, out of memory for p = 2^31 - 1)."""
+    return itertools.islice(itertools.product(range(min(p, count)), repeat=m), count)
+
+
+def reference_algebra_automorphisms(A, budget):
+    """The per-candidate base scan that ``_algebra_automorphisms`` batches,
+    kept as a test oracle: every matrix in ``itertools.product`` order,
+    validated one at a time."""
+    k = A.field
+    out, complete, count = [], True, 0
+    for entries in _product_prefix(k.p, A.dim * A.dim, budget + 1):
+        count += 1
+        if count > budget:
+            complete = False
+            break
+        mat = Matrix(k, np.array(entries, dtype=k.dtype).reshape(A.dim, A.dim))
+        mor = AlgebraMorphism(A, A, mat)
+        if mor.validate().ok and mat.is_invertible():
+            out.append(mor)
+    return out, complete
+
+
+def reference_automorphisms(C, fix_rho_identity, budget):
+    """The per-candidate scan that ``enumerate_automorphisms`` batches, kept
+    as a test oracle: bijectivity, balance of phi (x) phi and
+    comultiplicativity, tested on one candidate phi at a time."""
+    k, A, d = C.field, C.base, C.dim
+    if fix_rho_identity:
+        rhos, complete = [AlgebraMorphism.identity(A)], True
+    else:
+        rhos, complete = reference_algebra_automorphisms(A, budget)
+    found, spent = [], 0
+    for rho in rhos:
+        blocks = [sandwich_rows(C.epsilon, Matrix.eye(k, d))]
+        for a in range(A.dim):
+            ra = rho.matrix.col(a)
+            blocks.append(commute_rows(C.bimodule.left_action[a], C.bimodule.left_act(ra)))
+            blocks.append(commute_rows(C.bimodule.right_action[a], C.bimodule.right_act(ra)))
+        system = Matrix.vstack(blocks)
+        rhs = k.zeros((system.nrows,))
+        rhs[: A.dim * d] = (rho.matrix @ C.epsilon).a.reshape(-1)
+        part = system.solve(rhs)
+        if part is None:
+            continue
+        null = system.nullspace()
+        total = k.p ** null.ncols
+        if spent + total > budget:
+            complete = False
+            remaining = max(0, budget - spent)
+        else:
+            remaining = total
+        spent += min(total, remaining)
+        for t in _product_prefix(k.p, null.ncols, remaining):
+            phi = Matrix(k, (part + null.a @ np.array(t, dtype=k.dtype)).reshape(d, d))
+            if not phi.is_invertible():
+                continue
+            both = C.square.induce_or_none(phi.kron(phi), C.square)
+            if both is None or C.delta @ phi != both @ C.delta:
+                continue
+            found.append(CoringMorphism(C, C, phi, rho))
+    return found, complete
+
+
+def _fingerprint(m):
+    """dtype, shape and every entry with its Python type."""
+    return m.a.dtype.str, m.a.shape, [(type(x), int(x)) for x in m.a.flat]
+
+
+def _graded(n, field):
+    G = cyclic_group(n)
+    A, degrees = group_algebra(G, field)
+    return graded_coring(GradedData(G, regular_gset(G), A, degrees))
+
+
+SCAN_CORINGS = {
+    **{f"grouplike({n})/F{f.p}": (lambda n=n, f=f: grouplike_coalgebra(n, f))
+       for n in (2, 3) for f in (F2, F3, F5)},
+    "Mc2(F2)": lambda: matrix_coring(scalar_algebra(F2), 2),
+    **{f"trivial F{f.p}[Z{n}]": (lambda n=n, f=f: trivial_coring(group_algebra(cyclic_group(n), f)[0]))
+       for n, f in ((2, F2), (2, F3), (3, F2))},
+    **{f"graded Z{n}/F{f.p}": (lambda n=n, f=f: _graded(n, f))
+       for n, f in ((2, F2), (2, F3), (3, F2))},
+}
+SCAN_BUDGETS = [DEFAULT_BUDGET, 1000, 37]
+
+
+def _assert_same_automorphisms(C, fix, budget):
+    auts = enumerate_automorphisms(C, fix_rho_identity=fix, budget=budget)
+    want, complete = reference_automorphisms(C, fix, budget)
+    assert auts.complete == complete
+    assert [(_fingerprint(g.phi), _fingerprint(g.rho.matrix)) for g in auts.elements] == \
+        [(_fingerprint(g.phi), _fingerprint(g.rho.matrix)) for g in want]
+
+
+@pytest.mark.parametrize("budget", SCAN_BUDGETS)
+@pytest.mark.parametrize("fix", [True, False], ids=["rho=id", "full-rho"])
+@pytest.mark.parametrize("name", list(SCAN_CORINGS))
+def test_batched_scan_matches_the_per_candidate_loop(name, fix, budget):
+    _assert_same_automorphisms(SCAN_CORINGS[name](), fix, budget)
+
+
+@pytest.mark.parametrize("fix", [True, False], ids=["rho=id", "full-rho"])
+def test_batched_scan_over_a_large_prime_takes_the_object_path(fix):
+    C = grouplike_coalgebra(2, GF((1 << 31) - 1))
+    assert C.field.dtype is object
+    _assert_same_automorphisms(C, fix, 50)
+
+
+SCAN_ALGEBRAS = {
+    **{f"F{f.p}": (lambda f=f: scalar_algebra(f)) for f in (F2, F3, F5)},
+    **{f"F{f.p}[Z{n}]": (lambda n=n, f=f: group_algebra(cyclic_group(n), f)[0])
+       for n, f in ((2, F2), (2, F3), (3, F2), (3, F3))},
+    "F3[t]/t^2": lambda: dual_numbers(F3),
+    "F_(2^31-1)": lambda: scalar_algebra(GF((1 << 31) - 1)),
+}
+
+
+@pytest.mark.parametrize("budget", SCAN_BUDGETS)
+@pytest.mark.parametrize("name", list(SCAN_ALGEBRAS))
+def test_batched_base_scan_matches_the_per_candidate_loop(name, budget):
+    A = SCAN_ALGEBRAS[name]()
+    budget = min(budget, 50) if A.field.p > 5 else budget
+    got, complete = _algebra_automorphisms(A, budget)
+    want, want_complete = reference_algebra_automorphisms(A, budget)
+    assert complete == want_complete
+    assert [_fingerprint(g.matrix) for g in got] == [_fingerprint(g.matrix) for g in want]
+
+
+def _scan_rows(p, base, null, count):
+    """Every candidate row of ``_affine_scan``, from int64 arrays."""
+    chunks = list(_affine_scan(GF(p), base, null, count))
+    assert all(len(c) <= _SCAN_CHUNK for c in chunks)
+    return [row for c in chunks for row in c.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_affine_scan_follows_itertools_product(data):
+    """Candidate i is base + null t_i mod p, t_i the i-th vector of
+    itertools.product(range(p), repeat=m), across chunk boundaries."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m = data.draw(st.integers(0, 8))
+    n = data.draw(st.integers(0, 4))
+    count = data.draw(st.integers(0, min(p ** m, 3 * _SCAN_CHUNK)))
+    base = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    null = [data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)) for _ in range(n)]
+    want = [[(base[r] + sum(null[r][j] * t[j] for j in range(m))) % p for r in range(n)]
+            for t in itertools.islice(itertools.product(range(p), repeat=m), count)]
+    assert _scan_rows(p, np.array(base, dtype=np.int64),
+                      np.array(null, dtype=np.int64).reshape(n, m), count) == want
+    assert _scan_rows(p, np.zeros(m, dtype=np.int64), np.eye(m, dtype=np.int64), count) == \
+        [list(t) for t in itertools.islice(itertools.product(range(p), repeat=m), count)]
+
+
+def test_affine_scan_digits_past_int64():
+    # 2^72 candidates overflow int64; only the low digits of the index move
+    m, count = 72, 2 * _SCAN_CHUNK + 5
+    assert _scan_rows(2, np.zeros(m, dtype=np.int64), np.eye(m, dtype=np.int64), count) == \
+        [list(t) for t in itertools.islice(itertools.product(range(2), repeat=m), count)]
