@@ -242,14 +242,14 @@ class Bimodule:
         """m (x) x -> m . g(x) on M (x)_k X, for g: X -> A given as a
         (dim A) x n matrix: the map sum_a R_a (x) g[a]."""
         d, n = self.dim, g.ncols
-        return Matrix._raw(self.field, (self._stacked(self.right_action) @ g).a.reshape(d, d * n))
+        return (self._stacked(self.right_action) @ g).rearranged(lambda x: x.reshape(d, d * n))
 
     def left_contraction(self, g: Matrix) -> Matrix:
         """x (x) m -> g(x) . m on X (x)_k M, for g: X -> B given as a
         (dim B) x n matrix: the map sum_b g[b] (x) L_b."""
         d, n = self.dim, g.ncols
-        out = (self._stacked(self.left_action) @ g).a.reshape(d, d, n).transpose(0, 2, 1)
-        return Matrix._raw(self.field, out.reshape(d, n * d))
+        return (self._stacked(self.left_action) @ g).rearranged(
+            lambda x: x.reshape(d, d, n).transpose(0, 2, 1).reshape(d, n * d))
 
     def _stacked(self, actions: Sequence[Matrix]) -> Matrix:
         """The actions as the columns vec(X_a) of one dim^2 x (dim algebra) matrix."""

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Bimodule
 from .coring import Coring, CoringMorphism
 from .fields import Matrix, commute_rows
@@ -190,45 +188,51 @@ def check_bicomodule(M: Bicomodule) -> Report:
 
 # -- linear conditions on an unknown matrix F (row-major vec) --------------
 
-def _colinear_rows(coaction: Matrix, P3: np.ndarray, W3: np.ndarray) -> np.ndarray:
-    """coaction @ F == P @ (F kron I) @ W  as rows over vec(F), F: M -> N.
+def _colinear_rows(coaction: Matrix, P: Matrix, W: Matrix, nm: int) -> Matrix:
+    """coaction @ F == P_N @ (F kron I) @ W_M  as rows over vec(F), F: M -> N.
 
-    W is the ambient-valued coaction of M and P projects N's ambient onto
-    the quotient coordinates of ``coaction``; the caller lays both out with
-    the coring factor as axis j: P3[r, t, j] and W3[i, j, c], for t and i
-    the N and M factors."""
-    f = coaction.field
-    qn, nn, _ = P3.shape
-    nm = W3.shape[0]
-    mixed = f.normalize(np.einsum("rtj,ijc->rcti", P3, W3)).reshape(qn * nm, nn * nm)
-    return coaction.kron(Matrix.eye(f, nm)).a - mixed
+    W_M is the ambient-valued coaction of M and P_N projects N's ambient
+    onto the quotient coordinates of ``coaction``.  The caller lays both out
+    around the coring factor j: P with rows (r, t) and columns j, W with
+    rows j and columns (i, c), for t and i the N and M factors.  Row (r, c)
+    and column (t, i) of the right-hand side is then entry ((r, t), (i, c))
+    of P @ W."""
+    qn, nn = coaction.shape
+    mixed = (P @ W).rearranged(
+        lambda x: x.reshape(qn, nn, nm, nm).transpose(0, 3, 1, 2).reshape(qn * nm, nn * nm))
+    return coaction.kron(Matrix.eye(coaction.field, nm)) - mixed
 
 
-def _right_rows(M: Comodule, N: Comodule) -> list[np.ndarray]:
+def _right_rows(M: Comodule, N: Comodule) -> list[Matrix]:
     """Rows over vec(F) of the right-A-linear right-colinear F: M -> N."""
-    C, nm, nn = M.coring, M.dim, N.dim
-    rows = [commute_rows(M.module.right_action[a], N.module.right_action[a]).a
+    C, nm = M.coring, M.dim
+    rows = [commute_rows(M.module.right_action[a], N.module.right_action[a])
             for a in range(C.base.dim)]
-    rows.append(_colinear_rows(N.rho, N.mc.project.a.reshape(-1, nn, C.dim),
-                               M.rho_ambient().a.reshape(nm, C.dim, nm)))
+    rows.append(_colinear_rows(
+        N.rho, N.mc.project.rearranged(lambda x: x.reshape(-1, C.dim)),
+        M.rho_ambient().rearranged(
+            lambda x: x.reshape(nm, C.dim, nm).transpose(1, 0, 2).reshape(C.dim, nm * nm)),
+        nm))
     return rows
 
 
-def _left_rows(M: LeftComodule, N: LeftComodule) -> list[np.ndarray]:
+def _left_rows(M: LeftComodule, N: LeftComodule) -> list[Matrix]:
     """Rows over vec(F) of the left-A'-linear left-colinear F: M -> N."""
     Cp, nm, nn = M.coring, M.dim, N.dim
-    rows = [commute_rows(M.module.left_action[b], N.module.left_action[b]).a
+    rows = [commute_rows(M.module.left_action[b], N.module.left_action[b])
             for b in range(Cp.base.dim)]
-    P, W = N.cm.project.a, M.lam_ambient().a
-    rows.append(_colinear_rows(N.lam, P.reshape(-1, Cp.dim, nn).transpose(0, 2, 1),
-                               W.reshape(Cp.dim, nm, nm).transpose(1, 0, 2)))
+    rows.append(_colinear_rows(
+        N.lam, N.cm.project.rearranged(
+            lambda x: x.reshape(-1, Cp.dim, nn).transpose(0, 2, 1).reshape(-1, Cp.dim)),
+        M.lam_ambient().rearranged(lambda x: x.reshape(Cp.dim, nm * nm)),
+        nm))
     return rows
 
 
-def _maps_solving(rows: list[np.ndarray], M, N) -> list[Matrix]:
+def _maps_solving(rows: list[Matrix], M, N) -> list[Matrix]:
     """A basis of the maps F: M -> N whose vec(F) the rows annihilate."""
     f = M.field
-    basis = Matrix(f, np.vstack(rows)).nullspace()
+    basis = Matrix.vstack(rows).nullspace()
     return [Matrix(f, basis.col(j).reshape(N.dim, M.dim)) for j in range(basis.ncols)]
 
 

@@ -108,13 +108,14 @@ class DualAlgebra:
         if prods:
             coords = self._hom.solve_matrix(Matrix(k, np.stack(prods, axis=1)))
             if coords is None:
-                raise AssertionError("convolution left the dual hom space")
+                raise InvalidStructureError(
+                    "convolution left the dual hom space; invalid coring input")
             for i in range(self.dim):
                 for j in range(self.dim):
                     mult[i, j, :] = coords.a[:, i * self.dim + j]
         unit = self._hom.solve(coring.epsilon.a.reshape(-1))
         if unit is None:
-            raise AssertionError("counit is not one-sided linear; invalid coring input")
+            raise InvalidStructureError("counit is not one-sided linear; invalid coring input")
         self.algebra = Algebra(k, mult, unit)
 
     def coords(self, values: Matrix) -> Optional[np.ndarray]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Algebra, AlgebraMorphism, Bimodule
 from .fields import Matrix, commute_rows, sandwich_rows
 from .report import BalancednessError, Report, ReportBuilder
@@ -240,10 +238,10 @@ def find_cointegral(C: Coring) -> Optional[Cointegral]:
     Zl, Zr = (_side_by_side(P2 @ Matrix._raw(f, rep.reshape(d * d, d * q2)), d, q2)
               for rep in (repr_l, repr_r))
     # the column of unknown (r, c) is vec(R_r Zl[c] - L_r Zr[c])
-    mixed = np.concatenate([
-        _side_by_side(C.bimodule.right_action[r] @ Zl - C.bimodule.left_action[r] @ Zr, q2, q2).a
+    mixed = Matrix.vstack([
+        _side_by_side(C.bimodule.right_action[r] @ Zl - C.bimodule.left_action[r] @ Zr, q2, q2)
         for r in range(dA)]).T
-    rows.append(Matrix._raw(f, mixed[np.any(mixed != f.scalar(0), axis=1)]))
+    rows.append(Matrix._raw(f, mixed.a[mixed.support().any(axis=1)]))
     system = Matrix.vstack(rows)
     rhs = f.zeros((system.nrows,))
     rhs[: dA * d] = C.epsilon.a.reshape(-1)
@@ -260,4 +258,4 @@ def find_cointegral(C: Coring) -> Optional[Cointegral]:
 def _side_by_side(Z: Matrix, n: int, m: int) -> Matrix:
     """The rows of Z, each read as a row-major n x m block, placed side by
     side: an n x (rows * m) matrix."""
-    return Matrix._raw(Z.field, Z.a.reshape(Z.nrows, n, m).transpose(1, 0, 2).reshape(n, -1))
+    return Z.rearranged(lambda x: x.reshape(x.shape[0], n, m).transpose(1, 0, 2).reshape(n, -1))

@@ -451,17 +451,19 @@ class GradedData:
                 (f"(x,g,h)=({x},{g},{h})", X[X[x][g]][h] == X[x][G[g][h]])
                 for x, g, h in product(range(nx), range(n), range(n))))
         A = self.algebra
-        rb.add("degrees-shape", len(self.degrees) == A.dim
-               and all(0 <= d < n for d in self.degrees))
-        zero = self.field.scalar(0)
         deg = self.degrees
-        rb.add_all("grading-multiplicative", (
-            (f"product ({i},{j}) hits degree of basis {k}",
-             A.mult[i, j, k] == zero or deg[k] == self.group[deg[i]][deg[j]])
-            for i, j, k in product(range(A.dim), repeat=3)))
-        e = group_identity(self.group) if check_group_table(self.group).ok else 0
-        ok = all(A.unit[i] == zero or self.degrees[i] == e for i in range(A.dim))
-        rb.add("unit-homogeneous", ok)
+        degrees_ok = len(deg) == A.dim and all(0 <= d < n for d in deg)
+        rb.add("degrees-shape", degrees_ok)
+        # both checks index the group table by degrees
+        if degrees_ok and check_group_table(self.group).ok:
+            zero = self.field.scalar(0)
+            rb.add_all("grading-multiplicative", (
+                (f"product ({i},{j}) hits degree of basis {k}",
+                 A.mult[i, j, k] == zero or deg[k] == self.group[deg[i]][deg[j]])
+                for i, j, k in product(range(A.dim), repeat=3)))
+            e = group_identity(self.group)
+            rb.add("unit-homogeneous", all(A.unit[i] == zero or deg[i] == e
+                                           for i in range(A.dim)))
         return rb.build()
 
     def component_projector(self, g: int) -> Matrix:

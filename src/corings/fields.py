@@ -14,13 +14,22 @@ Each field has one exact kernel behind :class:`Matrix` and :func:`_rref`:
   is already reduced.
 - F_p products are integer products reduced mod p; large ones run exactly
   on float64 BLAS, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, TOMS 2008).
-- Q eliminates fraction-free: each row is scaled once to integers, a
-  pivot updates a touched row ``R_i`` to ``pv * R_i - c * R_piv`` on Python
-  ints and divides it by the gcd of its entries, and only the final pivot
-  rows become Fractions.  Products and Kronecker products multiply integer
-  numerator arrays over a common denominator, in int64 when the bound
-  ``max|a| * max|b| * k < 2^62`` proves no overflow and in Python ints
-  otherwise; the result is turned into Fractions once per distinct value.
+- Q matrices keep their integer form ``(N, den, max|N|)`` in a private
+  slot: the numerators over the least common denominator of the reduced
+  entries, which is canonical.  Products, Kronecker products, sums,
+  differences, negation, scaling and transposition fill it from their
+  operands' forms; any other matrix computes it once, on first use.  Q
+  arithmetic and comparison read only the integers: ``==`` compares
+  ``(den, N)``, ``support`` and ``is_zero`` read N, and ``+``, ``-`` and
+  ``scale`` combine numerators scaled to a common denominator.  Integer
+  steps run in int64 when a bound (``max|a| * max|b| * k`` for products,
+  the sum of the scaled bounds for sums) below 2^62 proves no overflow,
+  and in Python ints otherwise.  The Fraction array ``a`` is still built
+  eagerly, one Fraction per distinct value.
+- Q eliminates fraction-free on the numerators N: a pivot updates a
+  touched row ``R_i`` to ``pv * R_i - c * R_piv`` on Python ints and
+  divides it by the gcd of its entries, and only the final pivot rows
+  become Fractions.
 
 Pivoting is first-nonzero with columns scanned left to right, so echelon
 bases are deterministic and reproducible across runs.  The reduced echelon
@@ -191,21 +200,44 @@ class Matrix:
     Instances are treated as immutable; all operations return new matrices.
     """
 
-    __slots__ = ("field", "a")
+    __slots__ = ("field", "a", "_q")
 
     def __init__(self, field: FieldSpec, data):
         self.field = field
         self.a = field.asarray(data) if not isinstance(data, np.ndarray) else field.normalize(data)
+        self._q = None
         if self.a.ndim != 2:
             raise ValueError(f"matrix data must be 2-d, got shape {self.a.shape}")
 
     @classmethod
-    def _raw(cls, field: FieldSpec, arr: np.ndarray) -> "Matrix":
-        """Wrap an already-normalized array without copying (trusted callers)."""
+    def _raw(cls, field: FieldSpec, arr: np.ndarray, q: Optional[tuple] = None) -> "Matrix":
+        """Wrap an already-normalized array without copying (trusted callers);
+        ``q`` is its integer form over Q, if the caller has it."""
         m = cls.__new__(cls)
         m.field = field
         m.a = arr
+        m._q = q
         return m
+
+    @classmethod
+    def _from_ints(cls, field: FieldSpec, N: np.ndarray, den: int) -> "Matrix":
+        """The matrix N / den over Q, with its integer form in lowest terms."""
+        q = _q_lowest(N, den)
+        return cls._raw(field, _q_from_ints(q[0], q[1]), q)
+
+    def _ints(self) -> tuple[np.ndarray, int, int]:
+        """The integer form ``(N, den, max|N|)`` of a matrix over Q (see
+        :func:`_q_split`), computed at most once per matrix."""
+        if self._q is None:
+            self._q = _q_split(self.a)
+        return self._q
+
+    def rearranged(self, move) -> "Matrix":
+        """The matrix ``move(self.a)``, for a ``move`` that only rearranges
+        entries (a reshape, a transpose, a permutation of rows or columns);
+        the integer form moves along."""
+        q = self._q
+        return Matrix._raw(self.field, move(self.a), None if q is None else (move(q[0]),) + q[1:])
 
     # -- constructors ----------------------------------------------------
 
@@ -216,15 +248,20 @@ class Matrix:
     @staticmethod
     def eye(field: FieldSpec, n: int) -> "Matrix":
         key = (field, n)
-        arr = _EYE_CACHE.get(key)
-        if arr is None:
+        hit = _EYE_CACHE.get(key)
+        if hit is None:
             arr = field.zeros((n, n))
             one = field.scalar(1)
             for i in range(n):
                 arr[i, i] = one
             arr.setflags(write=False)
-            _EYE_CACHE[key] = arr
-        return Matrix._raw(field, arr)
+            q = None
+            if field.kind == "Q":
+                N = np.eye(n, dtype=np.int64)
+                N.setflags(write=False)
+                q = (N, 1, int(n > 0))
+            hit = _EYE_CACHE[key] = (arr, q)
+        return Matrix._raw(field, *hit)
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -240,13 +277,11 @@ class Matrix:
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        return Matrix(field, np.hstack([m.a for m in mats]))
+        return Matrix._raw(mats[0].field, np.hstack([m.a for m in mats]))
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        return Matrix(field, np.vstack([m.a for m in mats]))
+        return Matrix._raw(mats[0].field, np.vstack([m.a for m in mats]))
 
     # -- basic structure -------------------------------------------------
 
@@ -263,7 +298,7 @@ class Matrix:
         return self.a.shape[1]
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.a.copy())
+        return Matrix._raw(self.field, self.a.copy())
 
     def row(self, i: int) -> np.ndarray:
         return self.a[i, :].copy()
@@ -272,26 +307,36 @@ class Matrix:
         return self.a[:, j].copy()
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T.copy())
+        return self.rearranged(lambda x: x.T.copy())
 
     @property
     def T(self) -> "Matrix":
         return self.transpose()
 
     def submatrix(self, rows, cols) -> "Matrix":
-        return Matrix(self.field, self.a[np.ix_(list(rows), list(cols))])
+        return Matrix._raw(self.field, self.a[np.ix_(list(rows), list(cols))])
+
+    def support(self) -> np.ndarray:
+        """Boolean array of the nonzero entries."""
+        if self.field.kind == "Q":
+            return self._ints()[0] != 0
+        return self.a != 0
 
     def is_zero(self) -> bool:
-        if self.a.size == 0:
-            return True
-        return bool(np.all(self.a == self.field.scalar(0)))
+        if self.field.kind == "Q":
+            return self._ints()[2] == 0
+        return not self.a.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        return bool(np.all(self.a == other.a))
+        if self.field.kind == "Q":
+            # the integer form of the reduced entries is canonical
+            (na, da, _), (nb, db, _) = self._ints(), other._ints()
+            return da == db and bool(np.array_equal(na, nb))
+        return bool(np.array_equal(self.a, other.a))
 
     def __hash__(self):
         return hash((self.field, self.shape, tuple(self.field.format_scalar(x) for x in self.a.reshape(-1))))
@@ -310,17 +355,36 @@ class Matrix:
             return Matrix._raw(self.field, arr)
         return Matrix._raw(self.field, self.field.normalize(arr))
 
+    def _q_sum(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other over Q, on numerators over the lcm of the two
+        denominators."""
+        (na, da, ma), (nb, db, mb) = self._ints(), other._ints()
+        den = math.lcm(da, db)
+        return Matrix._from_ints(self.field, _q_combine(((na, ma, den // da),
+                                                         (nb, mb, sign * (den // db)))), den)
+
     def __add__(self, other: "Matrix") -> "Matrix":
+        if self.field.kind == "Q":
+            return self._q_sum(other, 1)
         return self._wrap(self.a + other.a)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        if self.field.kind == "Q":
+            return self._q_sum(other, -1)
         return self._wrap(self.a - other.a)
 
     def __neg__(self) -> "Matrix":
+        if self.field.kind == "Q":
+            return self.scale(-1)
         return self._wrap(-self.a)
 
     def scale(self, c) -> "Matrix":
-        return self._wrap(self.a * self.field.scalar(c))
+        c = self.field.scalar(c)
+        if self.field.kind == "Q":
+            N, den, bound = self._ints()
+            return Matrix._from_ints(self.field, _q_combine(((N, bound, c.numerator),)),
+                                     den * c.denominator)
+        return self._wrap(self.a * c)
 
     def __matmul__(self, other):
         """Product with a Matrix (a Matrix) or a vector (a reduced array).
@@ -337,10 +401,14 @@ class Matrix:
             81 x 729 x 81     5.8 ms    0.86 ms
         """
         f, a = self.field, self.a
-        b = other.a if isinstance(other, Matrix) else as_vector(f, other)
         if f.kind == "Q":
-            out = _q_product(np.matmul, a, b, a.shape[1])
-        elif a.shape[0] * b.size >= 4096 and a.shape[1] * (f.p - 1) ** 2 < 1 << 53:
+            if isinstance(other, Matrix):
+                return Matrix._from_ints(f, *_q_product(np.matmul, self._ints(), other._ints(),
+                                                        a.shape[1]))
+            return _q_from_ints(*_q_product(np.matmul, self._ints(),
+                                            _q_split(as_vector(f, other)), a.shape[1]))
+        b = other.a if isinstance(other, Matrix) else as_vector(f, other)
+        if a.shape[0] * b.size >= 4096 and a.shape[1] * (f.p - 1) ** 2 < 1 << 53:
             out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % f.p
         else:
             out = a @ b % f.p
@@ -350,22 +418,26 @@ class Matrix:
         if self.a.size == 0 or other.a.size == 0:
             return self._wrap(np.kron(self.a, other.a))
         if self.field.kind == "Q":
-            return self._wrap(_q_product(_fast_kron, self.a, other.a, 1))
+            return Matrix._from_ints(self.field,
+                                     *_q_product(_fast_kron, self._ints(), other._ints(), 1))
         return self._wrap(_fast_kron(self.a, other.a))
 
     # -- echelon form and friends ---------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        R, piv = _rref(self.field, self.a)
+        R, piv = self._echelon()
         return Matrix._raw(self.field, R), tuple(piv)
+
+    def _echelon(self) -> tuple[np.ndarray, list[int]]:
+        return _rref(self.field, self.a, self._ints()[0] if self.field.kind == "Q" else None)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Matrix":
         """Matrix whose columns are a deterministic basis of the kernel."""
-        R, piv = _rref(self.field, self.a)
+        R, piv = self._echelon()
         n = self.ncols
         free = [j for j in range(n) if j not in set(piv)]
         K = self.field.zeros((n, len(free)))
@@ -455,18 +527,14 @@ _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
-def _q_parts(a: np.ndarray) -> tuple[list, list]:
-    """Numerators and denominators of a Fraction array, flattened."""
-    flat = a.reshape(-1).tolist()
-    return list(map(_NUMERATOR, flat)), list(map(_DENOMINATOR, flat))
-
-
 def _q_split(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Integer numerators N, a common denominator D and max|N|, with a = N / D.
+    """The integer form of a Fraction array: numerators N over the least
+    common denominator D of its (reduced) entries, and max|N|; a = N / D.
 
     N is int64 when ``max|N| < 2^63`` and an object array of Python ints
     otherwise."""
-    nums, dens = _q_parts(a)
+    flat = a.reshape(-1).tolist()
+    nums, dens = list(map(_NUMERATOR, flat)), list(map(_DENOMINATOR, flat))
     den = math.lcm(*dens)
     if den != 1:
         nums = [x * (den // d) for x, d in zip(nums, dens)]
@@ -483,24 +551,60 @@ def _q_from_ints(N: np.ndarray, den: int) -> np.ndarray:
     return fracs[inv.reshape(-1)].reshape(N.shape)
 
 
-def _q_product(op, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """``op(a, b)`` on Fraction arrays, where op is bilinear and each output
-    entry sums at most k products (matmul: the inner dimension; kron: 1)."""
-    na, da, ma = _q_split(a)
-    nb, db, mb = _q_split(b)
+def _q_lowest(N: np.ndarray, den: int) -> tuple[np.ndarray, int, int]:
+    """The integer form of the matrix N / den, as :func:`_q_split` computes it
+    from the reduced entries: N and den divided by their gcd, which makes den
+    the least common denominator, and N int64 exactly when max|N| < 2^63."""
+    if N.dtype != object:
+        bound = int(np.abs(N).max()) if N.size else 0
+        if bound == 0:
+            return N, 1, 0
+        if den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(N, axis=None)))
+            if g != 1:
+                N, den, bound = N // g, den // g, bound // g
+        return N, den, bound
+    flat = N.reshape(-1).tolist()
+    g = math.gcd(den, *flat)
+    if g != 1:
+        flat = [x // g for x in flat]
+        den //= g
+    bound = max(map(abs, flat), default=0)
+    return np.array(flat, dtype=np.int64 if bound < (1 << 63) else object).reshape(N.shape), \
+        den, bound
+
+
+def _q_combine(terms) -> np.ndarray:
+    """``sum(s * N)`` over the ``(N, max|N|, s)`` of ``terms``, s Python ints:
+    in int64 while ``sum(|s| * max(max|N|, 1)) < 2^62`` bounds every entry
+    and scale factor, in Python ints otherwise."""
+    fits = all(N.dtype == np.int64 for N, _, _ in terms) and \
+        sum(abs(s) * max(bound, 1) for _, bound, s in terms) < _INT64_PRODUCT_LIMIT
+    out = 0
+    for N, _, s in terms:
+        out = out + (N if fits else N.astype(object)) * s
+    return out
+
+
+def _q_product(op, x: tuple, y: tuple, k: int) -> tuple[np.ndarray, int]:
+    """``op(N_x, N_y)`` and its denominator, for integer forms x and y and a
+    bilinear op whose output entries sum at most k products each (matmul:
+    the inner dimension; kron: 1)."""
+    (na, da, ma), (nb, db, mb) = x, y
     if na.dtype == nb.dtype == np.int64 and ma * mb * k < _INT64_PRODUCT_LIMIT:
-        N = op(na, nb)
-    else:
-        N = op(na.astype(object), nb.astype(object))
-    return _q_from_ints(N, da * db)
+        return op(na, nb), da * db
+    return op(na.astype(object), nb.astype(object)), da * db
 
 
-def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _rref(field: FieldSpec, a: np.ndarray,
+          N: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon form of ``a`` and its pivot columns; over Q, ``N`` are
+    the numerators of a's integer form when the caller has them."""
     m, n = a.shape
     if m == 0 or n == 0:
         return field.normalize(a.copy()), []
     if field.kind == "Q":
-        return _rref_q(a)
+        return _rref_q(_q_split(a)[0] if N is None else N)
     R = field.normalize(a)  # a fresh, reduced array
     if field.p == 2 and R.dtype == np.int64:
         return _rref_gf2(R)
@@ -542,23 +646,20 @@ def _rref_fp(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 _Q_ZERO = Fraction(0)
 
 
-def _rref_q(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced echelon form over Q by fraction-free elimination.
+def _rref_q(N: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon form over Q, by fraction-free elimination on the
+    integer numerators N of a matrix over a common denominator (its integer
+    form): the denominator scales every row alike, so the echelon form of N
+    is the matrix's.
 
-    Each row is scaled once to a primitive integer vector.  A pivot with
-    entry pv replaces every row R_i it touches (entry c in the pivot column)
-    by ``pv * R_i - c * R_piv`` divided by the gcd of its entries, which
-    keeps the row primitive and its span unchanged.  The whole row is
-    updated: a touched row above the pivot row is nonzero left of the pivot
-    column, and its scaling by pv must reach those entries too.  At the end
-    each pivot row is divided by its pivot entry; only then do Fractions
-    appear."""
-    m, n = a.shape
-    nums, dens = _q_parts(a)
-    R = np.array(nums, dtype=object).reshape(m, n)
-    if max(dens) != 1:
-        D = np.array(dens, dtype=object).reshape(m, n)
-        R = R * (np.lcm.reduce(D, axis=1)[:, None] // D)
+    A pivot with entry pv replaces every row R_i it touches (entry c in the
+    pivot column) by ``pv * R_i - c * R_piv`` divided by the gcd of its
+    entries, which keeps its span unchanged.  The whole row is updated: a
+    touched row above the pivot row is nonzero left of the pivot column, and
+    its scaling by pv must reach those entries too.  At the end each pivot
+    row is divided by its pivot entry; only then do Fractions appear."""
+    m, n = N.shape
+    R = N.astype(object)
     pivots: list[int] = []
     row = 0
     for col in range(n):

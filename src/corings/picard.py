@@ -80,10 +80,9 @@ def _p_equation_kernel(C: Coring, phi: Matrix, delta_amb: Matrix) -> Matrix:
     ``delta_amb`` represents Delta in C (x)_k C."""
     k, A = C.field, C.base
     d = C.dim
-    W3 = delta_amb.a.reshape(d, d, d)  # [c1, c2, input]
-    # column s: vec(W3[:, s, :]) and vec(W3[s, :, :])
-    Wl = Matrix._raw(k, W3.transpose(0, 2, 1).reshape(d * d, d))
-    Wr = Matrix._raw(k, W3.reshape(d, d * d).T)
+    # W3 = delta_amb as [c1, c2, input]; column s: vec(W3[:, s, :]) and vec(W3[s, :, :])
+    Wl = delta_amb.rearranged(lambda x: x.reshape(d, d, d).transpose(0, 2, 1).reshape(d * d, d))
+    Wr = delta_amb.rearranged(lambda x: x.reshape(d, d * d).T)
     eyeC = Matrix.eye(k, d)
     R, L = C.bimodule.right_action, C.bimodule.left_action
     # column (r, s) of the p-equation: vec(R_r phi W3[:, s, :] - L_r W3[s, :, :])
@@ -582,7 +581,7 @@ def _graded_kernel(Gd: GradedData, phi: Matrix, sigma: Matrix, budget: int,
     null = Matrix.vstack(rows).nullspace()
     m = null.ncols
     # vec(V) is indexed (r, x); the values algebra is indexed (x, r)
-    coords = Matrix._raw(k, null.a.reshape(dA, nX, m).transpose(1, 0, 2).reshape(nX * dA, m))
+    coords = null.rearranged(lambda x: x.reshape(dA, nX, m).transpose(1, 0, 2).reshape(nX * dA, m))
     status, res = _unit_search(coords, graded_values_algebra(Gd), budget, seed)
     values = Matrix(k, res.element.reshape(nX, dA).T) if status == INNER else None
     return status, res, m, values

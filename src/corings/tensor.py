@@ -84,16 +84,15 @@ class TensorQuotient:
         self._last = None
 
         rel_blocks = []
-        zero = field.scalar(0)
         for M, N in zip(factors, factors[1:]):
             for a in range(M.right_algebra.dim):
-                arr = (M.right_action[a].T.kron(Matrix.eye(field, N.dim))
-                       - Matrix.eye(field, M.dim).kron(N.left_action[a].T)).a
-                keep = (arr != zero).any(axis=1)
+                rel = (M.right_action[a].T.kron(Matrix.eye(field, N.dim))
+                       - Matrix.eye(field, M.dim).kron(N.left_action[a].T))
+                keep = rel.support().any(axis=1)
                 if keep.any():
-                    rel_blocks.append(arr[keep, :])
+                    rel_blocks.append(rel.a[keep, :])
         if rel_blocks:
-            self.relations = Matrix(field, np.vstack(rel_blocks))
+            self.relations = Matrix._raw(field, np.vstack(rel_blocks))
         else:
             self.relations = Matrix.zeros(field, 0, n)
 
@@ -102,7 +101,7 @@ class TensorQuotient:
         if self._order is not None:
             if sorted(self._order) != list(range(n)):
                 raise ValueError("column_order must permute the ambient columns")
-            work = Matrix(field, work.a[:, self._order]) if work.nrows else work
+            work = work.rearranged(lambda x: x[:, self._order])
 
         R, pivots = work.rref()
         piv_set = set(pivots)
@@ -160,7 +159,7 @@ class TensorQuotient:
         """
         down = ambient_map @ self.section
         if self.dim < self.ambient_dim:
-            bad = np.nonzero((ambient_map.a != (down @ self.project).a).any(axis=0))[0]
+            bad = np.nonzero((ambient_map - down @ self.project).support().any(axis=0))[0]
             if bad.size:
                 e = basis_vector(self.field, self.ambient_dim, int(bad[0]))
                 witness = self.field.normalize(e - self.section @ (self.project @ e))

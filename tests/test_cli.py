@@ -398,3 +398,41 @@ def test_build_usage_errors_are_parse_errors(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("build,action,message", [
+    # grouplike(2) with a non-scalar right action: the counit is no longer
+    # one-sided linear, so C* has no unit
+    (["grouplike", "-n", "2", "--field", "F3"], [[[1, 1], [0, 1]]],
+     "counit is not one-sided linear"),
+    # Mc2(F2) with a singular right action: convolution leaves the hom space
+    (["matrix", "-n", "2", "--field", "F2"], [[[0, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 1]]],
+     "convolution left the dual hom space"),
+])
+def test_dual_of_an_invalid_coring_is_invalid_structure(tmp_path, capsys, build, action,
+                                                        message):
+    path = str(tmp_path / "c.json")
+    run(capsys, "build", *build, "-o", path)
+    doc = doc_io.load(path)
+    doc["payload"]["right_action"] = action
+    doc_io.save(path, doc)
+    assert main(["dual", path, "--side", "right"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid structure: " + message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("degrees", [0, 2]), ("group", [[]])])
+def test_graded_bad_degrees_or_group_fail_validation(tmp_path, capsys, key, value):
+    """Checks that index the group table by degrees run only on in-range
+    degrees and a valid group table."""
+    path = str(tmp_path / "g.json")
+    run(capsys, "build", "graded", "--group", "2", "--field", "F3", "-o", path)
+    doc = doc_io.load(path)
+    doc["payload"][key] = value
+    doc_io.save(path, doc)
+    code, _, machine = run(capsys, "validate", path)
+    assert code == 1 and machine["ok"] is False
+    checks = {c["name"]: c["ok"] for c in machine["checks"]}
+    assert checks["degrees-shape"] is False
+    assert "grading-multiplicative" not in checks and "unit-homogeneous" not in checks

@@ -13,9 +13,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from corings import GF, QQ, FieldSpec, Matrix
-from corings.fields import (_rref, _rref_gf2_packed, basis_vector, commute_rows,
+from corings import GF, QQ, Algebra, FieldSpec, Matrix, regular_bimodule, tensor_chain
+from corings.fields import (_q_split, _rref, _rref_gf2_packed, basis_vector, commute_rows,
                             sandwich_rows)
+from corings.report import BalancednessError
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -306,6 +307,127 @@ def test_q_products_on_both_sides_of_the_int64_bound():
         A, B = Matrix(QQ, a), Matrix(QQ, b)
         assert (A @ B).a.tolist() == _naive_matmul(a, b)
         assert A.kron(B).a.tolist() == _naive_kron(a, b)
+
+
+# -- the integer form of matrices over Q --------------------------------------
+
+# entries whose numerators sit just below 2^63: int64 on their own, while
+# their sums, differences and products overflow int64
+_edge_q = st.builds(Fraction, st.integers(2**62, 2**63 - 1).flatmap(
+    lambda x: st.sampled_from([x, -x])), st.integers(1, 3))
+_any_q = st.one_of(_small_q, _small_q, _huge_q, _edge_q)
+
+
+def _assert_integer_form(m):
+    """m caches an integer form, and it is the one computed afresh from m.a."""
+    assert m._q is not None
+    N, den, bound = m._q
+    fresh_N, fresh_den, fresh_bound = _q_split(m.a)
+    assert (den, bound) == (fresh_den, fresh_bound)
+    assert N.dtype == fresh_N.dtype and N.tolist() == fresh_N.tolist()
+    assert all(type(x) is Fraction for x in m.a.reshape(-1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_q_integer_form_arithmetic_matches_naive_loops(data):
+    """+ - == scale transpose kron @ over Q against Fraction loops, with the
+    cached integer form equal to a fresh one after every operation."""
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a, b = data.draw(_rows(_any_q, m, n)), data.draw(_rows(_any_q, m, n))
+    A, B = Matrix(QQ, a), Matrix(QQ, b)
+    c = data.draw(_any_q)
+    expect = {
+        "sum": (A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        "difference": (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        "self difference": (A - A, [[Fraction(0)] * n for _ in range(m)]),
+        "negation": (-A, [[-x for x in r] for r in a]),
+        "scale": (A.scale(c), [[c * x for x in r] for r in a]),
+        "transpose": ((A + B).T, [[a[i][j] + b[i][j] for i in range(m)] for j in range(n)]),
+        "kron": (A.kron(B), _naive_kron(a, b)),
+        "product": (A @ B.T, _naive_matmul(a, [list(col) for col in zip(*b)])),
+    }
+    for name, (got, want) in expect.items():
+        assert got.a.tolist() == want, name
+        _assert_integer_form(got)
+    v = [row[0] for row in b]
+    assert (A.T @ v).tolist() == [r[0] for r in _naive_matmul([list(c) for c in zip(*a)],
+                                                                  [[x] for x in v])]
+    assert (A == B) == (a == b)
+    assert A == Matrix(QQ, [list(r) for r in a]) and A - B + B == A
+    assert (A - B).is_zero() == (a == b)
+    assert (A - B).support().tolist() == [[x != y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def test_q_sums_on_both_sides_of_the_int64_bound():
+    # numerators below 2^63 whose sum, difference or common-denominator
+    # scaling is not: every result must leave int64 for Python ints
+    big = 2**63 - 1
+    cases = [([[big, 1]], [[big, -1]]), ([[big, 0]], [[-big, 5]]),
+             ([[Fraction(big, 2), 1]], [[Fraction(big, 3), 1]]),
+             ([[2**62, 2**62]], [[2**62, Fraction(1, 2)]])]
+    for a, b in cases:
+        A, B = Matrix(QQ, a), Matrix(QQ, b)
+        fa, fb = ([[Fraction(x) for x in r] for r in m] for m in (a, b))
+        for got, want in ((A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(fa, fb)]),
+                          (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(fa, fb)]),
+                          (A.scale(3), [[3 * x for x in r] for r in fa])):
+            assert got.a.tolist() == want
+            _assert_integer_form(got)
+
+
+def test_q_zero_results_over_denominators_past_int64():
+    # results that vanish over a common denominator past 2^63: the integer
+    # form of a zero matrix has denominator 1
+    A = Matrix(QQ, [[0, Fraction(1, 3**40)]])
+    B = Matrix(QQ, [[Fraction(1, 2**70)], [0]])
+    for got in (A @ B, A - A, A.scale(0), A.kron(Matrix(QQ, [[0]]))):
+        assert got.is_zero() and got._q[1] == 1
+        _assert_integer_form(got)
+
+
+def _quarter_algebra():
+    """Q[t]/(t^2 - 1/4): structure constants with a denominator."""
+    return Algebra(QQ, [[[1, 0], [0, 1]], [[0, 1], [Fraction(1, 4), 0]]], [1, 0])
+
+
+def test_q_tensor_relations_match_fraction_arrays():
+    bim = regular_bimodule(_quarter_algebra())
+    t = tensor_chain([bim, bim])
+    eye = Matrix.eye(QQ, bim.dim).a
+    want = []
+    for R, L in zip(bim.right_action, bim.left_action):
+        arr = np.kron(R.a.T, eye) - np.kron(eye, L.a.T)
+        want += [row for row in arr.tolist() if any(x != 0 for x in row)]
+    assert t.relations.a.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_descend_witness_matches_fraction_arrays(data):
+    """descend over Q on maps near the projection of a chain with fractional
+    relations: it accepts exactly the maps that kill I - section @ project,
+    and its witness is that matrix's first column the map does not kill."""
+    bim = regular_bimodule(_quarter_algebra())
+    cube = tensor_chain([bim, bim, bim])
+    P, S = cube.project.a.tolist(), cube.section.a.tolist()
+    n = cube.ambient_dim
+    entries = st.sampled_from([0, 0, 0, Fraction(1, 2), -3])
+    if data.draw(st.booleans()):
+        noise = data.draw(_rows(entries, cube.dim, n))
+    else:  # X @ P kills the kernel of P, so the map descends
+        noise = _naive_matmul(data.draw(_rows(entries, cube.dim, cube.dim)), P)
+    M = [[x + y for x, y in zip(r, s)] for r, s in zip(P, noise)]
+    kernel = [[Fraction(i == j) - x for j, x in enumerate(row)]
+              for i, row in enumerate(_naive_matmul(S, P))]
+    killed = _naive_matmul(M, kernel)
+    bad = [j for j in range(n) if any(killed[i][j] != 0 for i in range(cube.dim))]
+    if not bad:
+        assert cube.descend(Matrix(QQ, M)).a.tolist() == _naive_matmul(M, S)
+        return
+    with pytest.raises(BalancednessError) as exc:
+        cube.descend(Matrix(QQ, M))
+    assert exc.value.witness.tolist() == [row[bad[0]] for row in kernel]
 
 
 # -- F_p products on both sides of the float64 BLAS gate ----------------------
