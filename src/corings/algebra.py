@@ -3,19 +3,31 @@ their morphisms, and bimodules with commuting actions.
 
 An algebra of dimension d over k is the tensor ``mult[i, j, :]`` expanding
 each product of basis vectors in the basis, together with the coefficient
-vector of the unit.  Bimodules store one action matrix per algebra basis
-vector on each side, and contract algebra-valued maps against either side
-(:meth:`Bimodule.right_contraction`, :meth:`Bimodule.left_contraction`).
+vector of the unit.  It is held once more as the structure matrix ``mu``,
+d x d^2, whose column i*d + j is e_i e_j, so that x y = mu (x (x) y).
+Bimodules store one action matrix per algebra basis vector on each side,
+and stack them as the columns vec(X_a) of one matrix; they contract
+algebra-valued maps against either side (:meth:`Bimodule.right_contraction`,
+:meth:`Bimodule.left_contraction`).
+
+Products of elements, the action of an element, and every axiom audit are
+:class:`~corings.fields.Matrix` products and identities, so field arithmetic
+happens only in ``fields``.  An audit's columns are its basis cases in
+row-major order (associativity: mu (mu (x) I) == mu (I (x) mu), column
+(i*d + j)*d + k; the unit law: mu (u (x) I) == I == mu (I (x) u), column j),
+so its first failing column is its first failing case.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, Matrix, as_vector, basis_vector, commute_rows, sandwich_rows
+from .fields import (FieldSpec, Matrix, as_vector, combine, commute_rows, sandwich_rows,
+                     stack_vecs, unstack)
 from .report import InvalidStructureError, Report, ReportBuilder
 
 
@@ -26,37 +38,36 @@ class Algebra:
         self.field = field
         m = np.asarray(mult, dtype=object) if field.dtype is object else np.asarray(mult)
         self.mult = field.normalize(np.array(m, dtype=field.dtype))
-        if self.mult.ndim != 3 or self.mult.shape[0] != self.mult.shape[1] != self.mult.shape[2]:
-            raise ValueError(f"structure tensor must be (d,d,d), got {self.mult.shape}")
-        self.dim = self.mult.shape[0]
+        shape = self.mult.shape
+        if self.mult.ndim != 3 or not shape[0] == shape[1] == shape[2]:
+            raise ValueError(f"structure tensor must be (d,d,d), got {shape}")
+        d = self.dim = shape[0]
         self.unit = as_vector(field, unit)
-        if self.unit.shape[0] != self.dim:
+        if self.unit.shape[0] != d:
             raise ValueError("unit vector dimension mismatch")
         self.names = list(names) if names is not None else None
-        # left/right multiplication matrices of each basis vector
-        self._lmul = [Matrix(field, self.mult[i, :, :].T) for i in range(self.dim)]
-        self._rmul = [Matrix(field, self.mult[:, j, :].T) for j in range(self.dim)]
+        # the structure matrix: column i*d + j is e_i e_j, i.e. mu[r, i*d + j]
+        self.mu = Matrix._raw(field, self.mult.reshape(d * d, d).T.copy())
+        # the left multiplications L_i (L_i[r, j] = mu[r, i*d + j]) and the
+        # right ones R_j (R_j[r, i] = mu[r, i*d + j]) as columns vec(L_i), vec(R_j)
+        self.left_stack = self.mu.rearranged(
+            lambda x: x.reshape(d, d, d).transpose(0, 2, 1).reshape(d * d, d))
+        self.right_stack = self.mu.rearranged(lambda x: x.reshape(d * d, d))
+        self._lmul = unstack(self.left_stack, (d, d))
+        self._rmul = unstack(self.right_stack, (d, d))
 
     def multiply(self, x, y) -> np.ndarray:
-        x = as_vector(self.field, x)
-        y = as_vector(self.field, y)
-        out = self.field.zeros((self.dim,))
-        zero = self.field.scalar(0)
-        for i in range(self.dim):
-            if x[i] == zero:
-                continue
-            out = out + x[i] * (self.mult[i, :, :].T @ y)
-        return self.field.normalize(out)
+        """x y = mu (x (x) y)."""
+        f = self.field
+        return (self.mu @ Matrix.column(f, x).kron(Matrix.column(f, y))).a[:, 0]
 
     def left_mult(self, x) -> Matrix:
         """Matrix of y -> x*y."""
-        x = as_vector(self.field, x)
-        return _combination(self.field, self._lmul, x)
+        return combine(self.left_stack, x, (self.dim, self.dim))
 
     def right_mult(self, x) -> Matrix:
         """Matrix of y -> y*x."""
-        x = as_vector(self.field, x)
-        return _combination(self.field, self._rmul, x)
+        return combine(self.right_stack, x, (self.dim, self.dim))
 
     def basis_left_mult(self, i: int) -> Matrix:
         return self._lmul[i]
@@ -84,28 +95,30 @@ class Algebra:
         return f"Algebra(dim={self.dim}, field={self.field})"
 
 
-def _combination(field: FieldSpec, mats: Sequence[Matrix], coeffs: np.ndarray) -> Matrix:
-    n = mats[0].nrows if mats else 0
-    out = field.zeros((n, mats[0].ncols if mats else 0))
-    zero = field.scalar(0)
-    for c, M in zip(coeffs, mats):
-        if c != zero:
-            out = out + M.a * c
-    return Matrix(field, out)
+def pair_witness(n: int) -> Callable[[int], str]:
+    """The witness of column i*n + j of an audit over basis pairs: ``pair (i,j)``."""
+    return lambda col: "pair ({},{})".format(*divmod(col, n))
 
 
 def check_algebra(A: Algebra) -> Report:
     """Associativity on all basis triples and two-sided unit law."""
     rb = ReportBuilder(f"algebra dim {A.dim} over {A.field}")
-    e = [basis_vector(A.field, A.dim, i) for i in range(A.dim)]
-    rb.add_all("associativity", (
-        (f"triple ({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})",
-         np.all(A.multiply(A.mult[i, j, :], e[k]) == A.multiply(e[i], A.mult[j, k, :])))
-        for i, j, k in product(range(A.dim), repeat=3)))
-    rb.add_all("unit-law", (
-        (f"basis {A.name_of(j)}",
-         np.all(A.multiply(A.unit, e[j]) == e[j]) and np.all(A.multiply(e[j], A.unit) == e[j]))
-        for j in range(A.dim)))
+    d, mu, name = A.dim, A.mu, A.name_of
+    # mu (mu (x) I) == mu (I (x) mu) without the d^2 x d^3 Kronecker factors:
+    # (e_i e_j) e_k = sum_r mu[r, ij] R_k e_r and e_i (e_j e_k) = sum_r mu[r, jk] L_i e_r
+    # for R_k[s, r] = mu[s, r*d + k] and L_i[s, r] = mu[s, i*d + r], so each side
+    # is the R_k (L_i) stacked as rows (k, s) ((i, s)) times mu, moved to
+    # column (i*d + j)*d + k
+    def side(stack, move):
+        rows = mu.rearranged(lambda x: x.reshape(d, d, d).transpose(stack).reshape(d * d, d))
+        return (rows @ mu).rearranged(
+            lambda x: x.reshape(d, d, d, d).transpose(move).reshape(d, d ** 3))
+
+    rb.add_equal("associativity", side((2, 0, 1), (1, 2, 3, 0)), side((1, 0, 2), (1, 0, 2, 3)),
+                 lambda c: "triple ({},{},{})".format(*map(name, np.unravel_index(c, (d, d, d)))))
+    I = Matrix.eye(A.field, d)
+    rb.add_equal("unit-law", Matrix.vstack([A.left_mult(A.unit), A.right_mult(A.unit)]),
+                 Matrix.vstack([I, I]), lambda j: f"basis {name(j)}")
     return rb.build()
 
 
@@ -214,11 +227,21 @@ class Bimodule:
             if M.shape != (dim, dim):
                 raise ValueError("action matrix shape mismatch")
 
+    @cached_property
+    def left_stack(self) -> Matrix:
+        """The left actions as the columns vec(L_b) of one dim^2 x (dim B) matrix."""
+        return stack_vecs(self.field, [X.a for X in self.left_action])
+
+    @cached_property
+    def right_stack(self) -> Matrix:
+        """The right actions as the columns vec(R_a) of one dim^2 x (dim A) matrix."""
+        return stack_vecs(self.field, [X.a for X in self.right_action])
+
     def left_act(self, a) -> Matrix:
-        return _combination(self.field, self.left_action, as_vector(self.field, a))
+        return combine(self.left_stack, a, (self.dim, self.dim))
 
     def right_act(self, a) -> Matrix:
-        return _combination(self.field, self.right_action, as_vector(self.field, a))
+        return combine(self.right_stack, a, (self.dim, self.dim))
 
     def validate(self) -> Report:
         rb = ReportBuilder(f"bimodule dim {self.dim}")
@@ -227,37 +250,39 @@ class Bimodule:
         rb.add("left-unit", self.left_act(B.unit) == I)
         rb.add("right-unit", self.right_act(A.unit) == I)
         L, R = self.left_action, self.right_action
-        rb.add_all("left-associativity", (
-            (f"pair ({i},{j})", L[i] @ L[j] == self.left_act(B.mult[i, j, :]))
-            for i, j in product(range(B.dim), repeat=2)))
+        rb.add_equal("left-associativity", _products(L, L), self.left_stack @ B.mu,
+                     pair_witness(B.dim))
         # m*(ab) = (m*a)*b, so the operator of ab is R_b R_a
-        rb.add_all("right-associativity", (
-            (f"pair ({i},{j})", R[j] @ R[i] == self.right_act(A.mult[i, j, :]))
-            for i, j in product(range(A.dim), repeat=2)))
-        rb.add_all("actions-commute", ((f"pair ({i},{j})", L[i] @ R[j] == R[j] @ L[i])
-                                       for i, j in product(range(B.dim), range(A.dim))))
+        rb.add_equal("right-associativity", _products(R, R, swap=True),
+                     self.right_stack @ A.mu, pair_witness(A.dim))
+        rb.add_equal("actions-commute", _products(L, R), _products(R, L, swap=True),
+                     pair_witness(A.dim))
         return rb.build()
 
     def right_contraction(self, g: Matrix) -> Matrix:
         """m (x) x -> m . g(x) on M (x)_k X, for g: X -> A given as a
         (dim A) x n matrix: the map sum_a R_a (x) g[a]."""
         d, n = self.dim, g.ncols
-        return (self._stacked(self.right_action) @ g).rearranged(lambda x: x.reshape(d, d * n))
+        return (self.right_stack @ g).rearranged(lambda x: x.reshape(d, d * n))
 
     def left_contraction(self, g: Matrix) -> Matrix:
         """x (x) m -> g(x) . m on X (x)_k M, for g: X -> B given as a
         (dim B) x n matrix: the map sum_b g[b] (x) L_b."""
         d, n = self.dim, g.ncols
-        return (self._stacked(self.left_action) @ g).rearranged(
+        return (self.left_stack @ g).rearranged(
             lambda x: x.reshape(d, d, n).transpose(0, 2, 1).reshape(d, n * d))
-
-    def _stacked(self, actions: Sequence[Matrix]) -> Matrix:
-        """The actions as the columns vec(X_a) of one dim^2 x (dim algebra) matrix."""
-        arr = np.stack([X.a for X in actions], axis=2)
-        return Matrix._raw(self.field, arr.reshape(self.dim * self.dim, len(actions)))
 
     def __repr__(self) -> str:
         return f"Bimodule(dim={self.dim}, left={self.left_algebra!r}, right={self.right_algebra!r})"
+
+
+def _products(Xs: Sequence[Matrix], Ys: Sequence[Matrix], swap: bool = False) -> Matrix:
+    """vec(X_i Y_j) for all pairs of n x n matrices, as column i*len(Ys) + j
+    (with ``swap``, column j*len(Xs) + i): one product of the stacked blocks."""
+    n, m1, m2 = Xs[0].nrows, len(Xs), len(Ys)
+    axes = (1, 3, 2, 0) if swap else (1, 3, 0, 2)
+    return (Matrix.vstack(Xs) @ Matrix.hstack(Ys)).rearranged(
+        lambda x: x.reshape(m1, n, m2, n).transpose(axes).reshape(n * n, m1 * m2))
 
 
 def regular_bimodule(A: Algebra) -> Bimodule:
@@ -316,10 +341,8 @@ class AlgebraMorphism:
         rb = ReportBuilder("algebra morphism")
         rb.add("unit", np.all(self.matrix @ self.source.unit == self.target.unit))
         F = self.matrix
-        rb.add_all("multiplicative", (
-            (f"pair ({i},{j})",
-             np.all(F @ self.source.mult[i, j, :] == self.target.multiply(F.col(i), F.col(j))))
-            for i, j in product(range(self.source.dim), repeat=2)))
+        rb.add_equal("multiplicative", F @ self.source.mu, self.target.mu @ F.kron(F),
+                     pair_witness(self.source.dim))
         return rb.build()
 
     def is_isomorphism(self) -> bool:

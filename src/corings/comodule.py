@@ -22,7 +22,7 @@ from typing import Optional
 
 from .algebra import Bimodule
 from .coring import Coring, CoringMorphism
-from .fields import Matrix, commute_rows
+from .fields import Matrix, combine, commute_rows, stack_vecs, unstack
 from .report import (BalancednessError, InvalidStructureError, KernelInvarianceError,
                      Report, ReportBuilder)
 from .tensor import TensorQuotient, tensor_chain, tensor_over
@@ -364,11 +364,7 @@ def bicomodule_iso_exists(M: Bicomodule, N: Bicomodule,
         return IsoSearchResult(NOT_ISOMORPHIC)
     res = invertible_in_span(homs, budget=budget, seed=seed)
     if res.status == WITNESS:
-        f = M.field
-        h = f.zeros((N.dim, M.dim))
-        for c, H in zip(res.witness, homs):
-            h = h + H.a * c
-        hm = Matrix(f, h)
+        hm = combine(stack_vecs(M.field, [H.a for H in homs]), res.witness, (N.dim, M.dim))
         inv = hm.inverse()
         if inv is None:
             raise AssertionError("iso-search witness failed exact inversion")
@@ -390,7 +386,7 @@ def twisted_bicomodule(f: CoringMorphism, validate: bool = True) -> Bicomodule:
     C, D = f.source, f.target
     k = C.field
     rho_inv = f.rho.inverse().matrix
-    lact = [C.bimodule.left_act(rho_inv.col(b)) for b in range(D.base.dim)]
+    lact = unstack(C.bimodule.left_stack @ rho_inv, (C.dim, C.dim))
     module = Bimodule(D.base, C.base, C.dim, lact, list(C.bimodule.right_action))
     t_mc = tensor_over(module, C.bimodule)
     rho = t_mc.project @ C.delta_ambient

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Algebra, Bimodule, is_projective_left, scalar_algebra
 from .comodule import Comodule
 from .coring import Coring
-from .fields import Matrix, commute_rows
+from .fields import Matrix, commute_rows, stack_vecs
 from .report import InvalidStructureError, Report, ReportBuilder
 
 RIGHT = "right-dual"
@@ -100,19 +100,16 @@ class DualAlgebra:
         self.dim = len(self.basis)
         self._hom = null  # (dA*dC) x dim, columns = vec(basis)
         conv = _convolve_right if side == RIGHT else _convolve_left
-        mult = k.zeros((self.dim, self.dim, self.dim))
-        prods = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prods.append(conv(coring, self.basis[i], self.basis[j]).a.reshape(-1))
-        if prods:
-            coords = self._hom.solve_matrix(Matrix(k, np.stack(prods, axis=1)))
+        d = self.dim
+        mult = k.zeros((d, d, d))
+        if d:
+            prods = [conv(coring, X, Y).a for X in self.basis for Y in self.basis]
+            coords = self._hom.solve_matrix(stack_vecs(k, prods))
             if coords is None:
                 raise InvalidStructureError(
                     "convolution left the dual hom space; invalid coring input")
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    mult[i, j, :] = coords.a[:, i * self.dim + j]
+            # column i*d + j of coords is e_i e_j
+            mult = coords.a.T.reshape(d, d, d)
         unit = self._hom.solve(coring.epsilon.a.reshape(-1))
         if unit is None:
             raise InvalidStructureError("counit is not one-sided linear; invalid coring input")

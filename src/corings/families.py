@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (Algebra, Bimodule, check_group_table, group_algebra,
-                      group_identity, regular_bimodule, scalar_algebra)
+from .algebra import (Algebra, Bimodule, check_algebra, check_group_table, group_algebra,
+                      group_identity, pair_witness, regular_bimodule, scalar_algebra)
 from .comodule import Comodule, check_comodule
 from .coring import Coring, check_coring
 from .fields import FieldSpec, Matrix
@@ -122,21 +122,14 @@ class EntwiningStructure:
 
     def psi_partial(self, b: int) -> Matrix:
         """psi(- (x) a_b): C -> A (x) C."""
-        dA, dC = self.algebra.dim, self.coalgebra.dim
-        cols = [self.psi.col(j * dA + b) for j in range(dC)]
-        return Matrix(self.algebra.field, np.stack(cols, axis=1))
+        return self.psi.rearranged(lambda x: x[:, b::self.algebra.dim])  # columns (c_j, a_b)
 
 
 def flip_entwining(A: Algebra, C: Coring) -> EntwiningStructure:
     """The twist-free entwining psi(c (x) a) = a (x) c."""
-    f = A.field
-    dA, dC = A.dim, C.dim
-    psi = f.zeros((dA * dC, dC * dA))
-    one = f.scalar(1)
-    for j in range(dC):
-        for i in range(dA):
-            psi[i * dC + j, j * dA + i] = one
-    return EntwiningStructure(A, C, Matrix(f, psi))
+    flip = _factor_order((C.dim, A.dim), (1, 0))
+    return EntwiningStructure(A, C, Matrix.eye(A.field, A.dim * C.dim).rearranged(
+        lambda x: x[flip]))
 
 
 def check_entwining(E: EntwiningStructure) -> Report:
@@ -146,36 +139,16 @@ def check_entwining(E: EntwiningStructure) -> Report:
     f = A.field
     dA, dC = A.dim, C.dim
     IA, IC = Matrix.eye(f, dA), Matrix.eye(f, dC)
-    mmat = Matrix(f, A.mult.reshape(dA * dA, dA).T)
     psi = E.psi
-
-    lhs = psi @ IC.kron(mmat)
-    rhs = mmat.kron(IC) @ IA.kron(psi) @ psi.kron(IA)
-    rb.add("ES1-multiplication", lhs == rhs, _first_bad_col(lhs, rhs))
-
+    rb.add_equal("ES1-multiplication", psi @ IC.kron(A.mu),
+                 A.mu.kron(IC) @ IA.kron(psi) @ psi.kron(IA))
     dC_full = C.delta_ambient
-    lhs = IA.kron(dC_full) @ psi
-    rhs = psi.kron(IC) @ IC.kron(psi) @ dC_full.kron(IA)
-    rb.add("ES2-comultiplication", lhs == rhs, _first_bad_col(lhs, rhs))
-
+    rb.add_equal("ES2-comultiplication", IA.kron(dC_full) @ psi,
+                 psi.kron(IC) @ IC.kron(psi) @ dC_full.kron(IA))
     unitcol = Matrix.column(f, A.unit)
-    lhs = psi @ IC.kron(unitcol)
-    rhs = unitcol.kron(IC)
-    rb.add("ES3-unit", lhs == rhs, _first_bad_col(lhs, rhs))
-
-    lhs = IA.kron(C.epsilon) @ psi
-    rhs = C.epsilon.kron(IA)
-    rb.add("ES4-counit", lhs == rhs, _first_bad_col(lhs, rhs))
+    rb.add_equal("ES3-unit", psi @ IC.kron(unitcol), unitcol.kron(IC))
+    rb.add_equal("ES4-counit", IA.kron(C.epsilon) @ psi, C.epsilon.kron(IA))
     return rb.build()
-
-
-def _first_bad_col(lhs: Matrix, rhs: Matrix) -> Optional[str]:
-    if lhs == rhs:
-        return None
-    diff = (lhs - rhs).a
-    zero = lhs.field.scalar(0)
-    bad = np.nonzero((diff != zero).any(axis=0))[0]
-    return f"input column {int(bad[0])}" if bad.size else None
 
 
 def coring_from_entwining(E: EntwiningStructure,
@@ -190,9 +163,8 @@ def coring_from_entwining(E: EntwiningStructure,
     dA, dC = A.dim, C.dim
     d = dA * dC
     IA, IC = Matrix.eye(f, dA), Matrix.eye(f, dC)
-    mmat = Matrix(f, A.mult.reshape(dA * dA, dA).T)
     lact = [A.basis_left_mult(b).kron(IC) for b in range(dA)]
-    ract = [mmat.kron(IC) @ IA.kron(E.psi_partial(b)) for b in range(dA)]
+    ract = [A.mu.kron(IC) @ IA.kron(E.psi_partial(b)) for b in range(dA)]
     bim = Bimodule(A, A, d, lact, ract)
     sq = tensor_over(bim, bim)
     delta = sq.project @ entwined_delta_ambient(E)
@@ -269,7 +241,6 @@ class Bialgebra:
 
     def validate(self) -> Report:
         rb = ReportBuilder("bialgebra")
-        from .algebra import check_algebra
         rb.merge(check_algebra(self.algebra), prefix="algebra-")
         f, d = self.field, self.dim
         I = Matrix.eye(f, d)
@@ -277,16 +248,12 @@ class Bialgebra:
         rb.add("counit", self.epsilon.kron(I) @ self.delta == I
                and I.kron(self.epsilon) @ self.delta == I)
         A, D, eps = self.algebra, self.delta, self.epsilon
-        rb.add_all("delta-multiplicative", (
-            (f"pair ({i},{j})", np.all(D @ A.mult[i, j, :]
-                                       == _tensor_algebra_product(A, A, D.col(i), D.col(j))))
-            for i, j in product(range(d), repeat=2)))
-        rb.add("delta-unital", np.all(D @ A.unit == np.kron(A.unit, A.unit)))
-        rb.add("epsilon-multiplicative", all(
-            np.all(f.normalize(eps @ A.mult[i, j, :]) == f.normalize(eps.col(i) * eps.col(j)))
-            for i, j in product(range(d), repeat=2)))
-        rb.add("epsilon-unital", np.all(self.epsilon @ self.algebra.unit
-                                        == np.asarray([f.scalar(1)], dtype=f.dtype)))
+        unit = Matrix.column(f, A.unit)
+        rb.add_equal("delta-multiplicative", D @ A.mu, _tensor_products(A, A, D, D),
+                     pair_witness(d))
+        rb.add("delta-unital", D @ unit == unit.kron(unit))
+        rb.add("epsilon-multiplicative", eps @ A.mu == eps.kron(eps))
+        rb.add("epsilon-unital", eps @ unit == Matrix.eye(f, 1))
         return rb.build()
 
 
@@ -327,63 +294,52 @@ class DKStructure:
         rb.merge(check_coring(C), prefix="C-")
         IA, IH, IC = Matrix.eye(f, dA), Matrix.eye(f, dH), Matrix.eye(f, dC)
         rho = self.coaction
+        unitA, unitH = Matrix.column(f, A.unit), Matrix.column(f, H.algebra.unit)
         rb.add("coaction-coassociative",
                IA.kron(H.delta) @ rho == rho.kron(IH) @ rho)
         rb.add("coaction-counital", IA.kron(H.epsilon) @ rho == IA)
-        rb.add_all("coaction-multiplicative", (
-            (f"pair ({i},{j})", np.all(rho @ A.mult[i, j, :] == _tensor_algebra_product(
-                A, H.algebra, rho.col(i), rho.col(j))))
-            for i, j in product(range(dA), repeat=2)))
-        rb.add("coaction-unital",
-               np.all(rho @ A.unit == np.kron(A.unit, H.algebra.unit)))
+        rb.add_equal("coaction-multiplicative", rho @ A.mu,
+                     _tensor_products(A, H.algebra, rho, rho), pair_witness(dA))
+        rb.add("coaction-unital", rho @ unitA == unitA.kron(unitH))
         act = self.action
-        mmatH = Matrix(f, H.algebra.mult.reshape(dH * dH, dH).T)
         rb.add("action-associative",
-               act @ act.kron(IH) == act @ IC.kron(mmatH))
-        unitH = Matrix.column(f, H.algebra.unit)
+               act @ act.kron(IH) == act @ IC.kron(H.algebra.mu))
         rb.add("action-unital", act @ IC.kron(unitH) == IC)
         # Delta_C(c.h) = sum c1 h1 (x) c2 h2
         dC_full = C.delta_ambient
-        swap = _factor_swap(f, dC, dH)  # C(x)H(x)C(x)H <- C(x)C(x)H(x)H
+        swap = _factor_order((dC, dC, dH, dH), (0, 2, 1, 3))  # CCHH -> CHCH
         lhs = dC_full @ act
-        rhs = act.kron(act) @ swap @ dC_full.kron(H.delta)
+        rhs = act.kron(act) @ dC_full.kron(H.delta).rearranged(lambda x: x[swap])
         rb.add("action-comultiplicative", lhs == rhs)
         rb.add("action-counital-compatible",
                C.epsilon @ act == C.epsilon.kron(H.epsilon))
         return rb.build()
 
 
-def _tensor_algebra_product(A: Algebra, B: Algebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(a (x) h)(a' (x) h') = aa' (x) hh' extended bilinearly on A (x) B."""
-    f = A.field
-    dA, dB = A.dim, B.dim
-    out = f.zeros((dA * dB,))
-    zero = f.scalar(0)
-    for ih in range(dA * dB):
-        if u[ih] == zero:
-            continue
-        i, h = divmod(ih, dB)
-        for jl in range(dA * dB):
-            if v[jl] == zero:
-                continue
-            j, l = divmod(jl, dB)
-            out = out + u[ih] * v[jl] * np.kron(A.mult[i, j, :], B.mult[h, l, :])
-    return f.normalize(out)
+def _factor_order(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """The permutation P: V_0 (x) ... (x) V_r-1 -> V_order[0] (x) ... (x)
+    V_order[r-1] of tensor factors of dimensions ``dims``, as the index array
+    idx with P X == X[idx] (row t of P X is row idx[t] of X)."""
+    return np.arange(int(np.prod(dims))).reshape(dims).transpose(order).reshape(-1)
 
 
-def _factor_swap(f: FieldSpec, d1: int, d2: int) -> Matrix:
-    """Permutation matrix C1 C1' C2 C2' -> C1 C2 C1' C2' for (d1,d1,d2,d2)."""
-    n = d1 * d1 * d2 * d2
-    out = f.zeros((n, n))
-    one = f.scalar(1)
-    for c1 in range(d1):
-        for c2 in range(d1):
-            for h1 in range(d2):
-                for h2 in range(d2):
-                    src = ((c1 * d1 + c2) * d2 + h1) * d2 + h2
-                    dst = ((c1 * d2 + h1) * d1 + c2) * d2 + h2
-                    out[dst, src] = one
-    return Matrix(f, out)
+def _tensor_products(A: Algebra, B: Algebra, X: Matrix, Y: Matrix) -> Matrix:
+    """x_i y_j in the algebra A (x) B, (a (x) b)(a' (x) b') = aa' (x) bb', for
+    the columns x_i of X and y_j of Y, as column i * (columns of Y) + j.
+
+    This is mu_A (x) mu_B, after the swap A B A B -> A A B B, applied to
+    X (x) Y.  Three products contract sum x[a, b] y[c, e] mu_A[s, ac] mu_B[t, be]
+    one index at a time (a, then c, then b and e), so nothing of size
+    (dA dB)^2 x (dA dB) is built."""
+    dA, dB, n, m = A.dim, B.dim, X.ncols, Y.ncols
+    muA = A.mu.rearranged(  # row (s, c), column a
+        lambda z: z.reshape(dA, dA, dA).transpose(0, 2, 1).reshape(dA * dA, dA))
+    P = (muA @ X.rearranged(lambda z: z.reshape(dA, dB * n))).rearranged(  # row (s, b, i), column c
+        lambda z: z.reshape(dA, dA, dB, n).transpose(0, 2, 3, 1).reshape(dA * dB * n, dA))
+    Q = (P @ Y.rearranged(lambda z: z.reshape(dA, dB * m))).rearranged(  # row (s, i, j), column (b, e)
+        lambda z: z.reshape(dA, dB, n, dB, m).transpose(0, 2, 4, 1, 3).reshape(dA * n * m, dB * dB))
+    return (Q @ B.mu.T).rearranged(  # row (s, t), column (i, j)
+        lambda z: z.reshape(dA, n, m, dB).transpose(0, 3, 1, 2).reshape(dA * dB, n * m))
 
 
 def entwining_from_dk(D: DKStructure) -> EntwiningStructure:
@@ -394,22 +350,11 @@ def entwining_from_dk(D: DKStructure) -> EntwiningStructure:
     A, H, C = D.algebra, D.bialgebra, D.coalgebra
     f = D.field
     dA, dH, dC = A.dim, H.dim, C.dim
-    psi = f.zeros((dA * dC, dC * dA))
-    zero = f.scalar(0)
-    for j in range(dC):
-        for i in range(dA):
-            coact = D.coaction.col(i)  # in A (x) H
-            col = f.zeros((dA * dC,))
-            for kl in range(dA * dH):
-                if coact[kl] == zero:
-                    continue
-                k, l = divmod(kl, dH)
-                moved = D.action.a[:, j * dH + l]  # c_j . h_l
-                contrib = f.zeros((dA * dC,))
-                contrib[k * dC : (k + 1) * dC] = moved
-                col = col + coact[kl] * contrib
-            psi[:, j * dA + i] = f.normalize(col)
-    return EntwiningStructure(A, C, Matrix(f, psi))
+    # C A -> C A H -> A C H -> A C
+    move = _factor_order((dC, dA, dH), (1, 0, 2))
+    psi = Matrix.eye(f, dA).kron(D.action) @ Matrix.eye(f, dC).kron(D.coaction).rearranged(
+        lambda x: x[move])
+    return EntwiningStructure(A, C, psi)
 
 
 # -- G-set graded data -------------------------------------------------------

@@ -38,7 +38,10 @@ Gauss-Jordan elimination over the field.
 
 Every linear condition on an unknown matrix F is assembled from
 :func:`sandwich_rows` (the matrix of F -> X F Y on row-major vec(F)) and
-:func:`commute_rows` (the rows of F X == Y F).
+:func:`commute_rows` (the rows of F X == Y F).  A linear combination
+sum c_a X_a of equal-shape matrices is one product of their stack, the
+columns vec(X_a) (:func:`stack_vecs`), with the coefficients
+(:func:`combine`).
 """
 
 from __future__ import annotations
@@ -272,8 +275,7 @@ class Matrix:
 
     @staticmethod
     def column(field: FieldSpec, vec) -> "Matrix":
-        v = as_vector(field, vec)
-        return Matrix(field, v.reshape(-1, 1))
+        return Matrix._raw(field, as_vector(field, vec).reshape(-1, 1))
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
@@ -521,6 +523,32 @@ def commute_rows(X: Matrix, Y: Matrix) -> Matrix:
     (rows of Y) x (rows of X)."""
     k = X.field
     return sandwich_rows(Matrix.eye(k, Y.nrows), X) - sandwich_rows(Y, Matrix.eye(k, X.nrows))
+
+
+def first_difference(X: Matrix, Y: Matrix) -> Optional[int]:
+    """The first column in which X and Y (of one shape) differ; None if X == Y."""
+    if X == Y:
+        return None
+    return int(np.flatnonzero((X - Y).support().any(axis=0))[0])
+
+
+# -- stacks: equal-shape matrices X_a as the columns vec(X_a) of one matrix ---
+
+def stack_vecs(field: FieldSpec, arrays: Sequence[np.ndarray]) -> Matrix:
+    """The reduced arrays X_a, all of one shape, as the columns vec(X_a)
+    (row-major) of one matrix."""
+    return Matrix._raw(field, np.stack(arrays, axis=-1).reshape(-1, len(arrays)))
+
+
+def combine(stack: Matrix, coeffs, shape: tuple[int, int]) -> Matrix:
+    """sum_a coeffs[a] X_a as a ``shape`` matrix, for the columns vec(X_a) of
+    ``stack``: one product with the coefficient column."""
+    return (stack @ Matrix.column(stack.field, coeffs)).rearranged(lambda x: x.reshape(shape))
+
+
+def unstack(stack: Matrix, shape: tuple[int, int]) -> list[Matrix]:
+    """The ``shape`` matrices X_a whose vec(X_a) are the columns of ``stack``."""
+    return [stack.rearranged(lambda x: x[:, a].reshape(shape)) for a in range(stack.ncols)]
 
 
 _NUMERATOR = operator.attrgetter("numerator")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
+
+from .fields import Matrix, first_difference
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,13 @@ class ReportBuilder:
             if not ok:
                 return self.add(name, False, witness)
         return self.add(name, True)
+
+    def add_equal(self, name: str, lhs: Matrix, rhs: Matrix,
+                  witness: Callable[[int], str] = "input column {}".format) -> bool:
+        """One check of the identity lhs == rhs between matrices whose columns
+        are the cases: it fails with the witness of the first differing column."""
+        bad = first_difference(lhs, rhs)
+        return self.add(name, bad is None, None if bad is None else witness(bad))
 
     def merge(self, other: Report, prefix: str = "") -> None:
         for c in other.checks:

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, Matrix, as_vector, basis_vector
+from .fields import FieldSpec, Matrix, as_vector, basis_vector, combine, stack_vecs
 
 DEFAULT_BUDGET = 200_000
 RANDOM_TRIALS = 20
@@ -90,14 +90,10 @@ def invertible_in_span(
     mode, pts = _coefficient_iter(field, m, n, budget, seed)
     if mode == "over-budget":
         return UnitSearchResult(UNDECIDED)
+    stack = stack_vecs(field, [M.a for M in mats])
     for t in pts:
         coeffs = as_vector(field, list(t))
-        arr = field.zeros((n, n))
-        for c, M in zip(coeffs, mats):
-            if c != field.scalar(0):
-                arr = arr + M.a * c
-        X = Matrix(field, arr)
-        if X.is_invertible():
+        if combine(stack, coeffs, (n, n)).is_invertible():
             return UnitSearchResult(WITNESS, witness=coeffs)
     if mode in ("exhaustive", "grid"):
         return UnitSearchResult(CERTIFIED_NONE)
@@ -125,20 +121,16 @@ def subspace_contains_unit(
     for b in basis:
         if b.shape[0] != dim:
             raise ValueError("basis element dimension differs from ambient algebra")
-    # left-multiplication operator of each basis element on the ambient algebra
-    lmats = []
-    for b in basis:
-        cols = [multiply(b, basis_vector(field, dim, k)) for k in range(dim)]
-        lmats.append(Matrix(field, np.stack(cols, axis=1)))
-    res = invertible_in_span(lmats, budget=budget, seed=seed)
+    def left_mult(x) -> Matrix:
+        """The left-multiplication operator of x on the ambient algebra."""
+        return Matrix(field, np.stack([multiply(x, basis_vector(field, dim, k))
+                                       for k in range(dim)], axis=1))
+
+    res = invertible_in_span([left_mult(b) for b in basis], budget=budget, seed=seed)
     if res.status != WITNESS:
         return res
-    x = field.zeros((dim,))
-    for c, b in zip(res.witness, basis):
-        x = field.normalize(x + b * c)
-    lx_cols = [multiply(x, basis_vector(field, dim, k)) for k in range(dim)]
-    Lx = Matrix(field, np.stack(lx_cols, axis=1))
-    y = Lx.solve(one)
+    x = stack_vecs(field, basis) @ res.witness
+    y = left_mult(x).solve(one)
     if y is None:
         raise AssertionError("unit-search witness failed inversion")
     if not (np.all(multiply(x, y) == one) and np.all(multiply(y, x) == one)):

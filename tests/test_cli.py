@@ -436,3 +436,23 @@ def test_graded_bad_degrees_or_group_fail_validation(tmp_path, capsys, key, valu
     checks = {c["name"]: c["ok"] for c in machine["checks"]}
     assert checks["degrees-shape"] is False
     assert "grading-multiplicative" not in checks and "unit-homogeneous" not in checks
+
+
+@pytest.mark.parametrize("a_mult,a_unit", [(1, 1), (3, 2)])
+def test_dk_over_a_rescaled_basis_validates(tmp_path, capsys, a_mult, a_unit):
+    """A valid Doi-Koppinen triple over F5 whose units are not basis vectors:
+    H = k on b0 = 2 (b0^2 = 2 b0, 1 = 3 b0, Delta b0 = 3 b0 (x) b0, eps b0 = 2),
+    A = k on a0 = 1 or a0 = 3, C = grouplike(1) with c.b0 = 2c.  The unital
+    checks compare u (x) u reduced mod 5."""
+    payload = {
+        "bialgebra": {"algebra": {"dim": 1, "mult": [[[2]]], "unit": [3]},
+                      "delta": [[3]], "epsilon": [[2]]},
+        "algebra": {"dim": 1, "mult": [[[a_mult]]], "unit": [a_unit]},
+        "coaction": [[3]],
+        "coalgebra": {"dim": 1, "delta": [[1]], "epsilon": [[1]]},
+        "action": [[2]],
+    }
+    path = str(tmp_path / "dk.json")
+    doc_io.save(path, doc_io.document("dk", GF(5), payload))
+    code, _, machine = run(capsys, "validate", path)
+    assert code == 0 and machine["ok"] is True
