@@ -230,12 +230,12 @@ class Bimodule:
     @cached_property
     def left_stack(self) -> Matrix:
         """The left actions as the columns vec(L_b) of one dim^2 x (dim B) matrix."""
-        return stack_vecs(self.field, [X.a for X in self.left_action])
+        return stack_vecs(self.left_action)
 
     @cached_property
     def right_stack(self) -> Matrix:
         """The right actions as the columns vec(R_a) of one dim^2 x (dim A) matrix."""
-        return stack_vecs(self.field, [X.a for X in self.right_action])
+        return stack_vecs(self.right_action)
 
     def left_act(self, a) -> Matrix:
         return combine(self.left_stack, a, (self.dim, self.dim))

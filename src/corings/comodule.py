@@ -231,9 +231,7 @@ def _left_rows(M: LeftComodule, N: LeftComodule) -> list[Matrix]:
 
 def _maps_solving(rows: list[Matrix], M, N) -> list[Matrix]:
     """A basis of the maps F: M -> N whose vec(F) the rows annihilate."""
-    f = M.field
-    basis = Matrix.vstack(rows).nullspace()
-    return [Matrix(f, basis.col(j).reshape(N.dim, M.dim)) for j in range(basis.ncols)]
+    return unstack(Matrix.vstack(rows).nullspace(), (N.dim, M.dim))
 
 
 def comodule_hom_space(M: Comodule, N: Comodule) -> list[Matrix]:
@@ -364,7 +362,7 @@ def bicomodule_iso_exists(M: Bicomodule, N: Bicomodule,
         return IsoSearchResult(NOT_ISOMORPHIC)
     res = invertible_in_span(homs, budget=budget, seed=seed)
     if res.status == WITNESS:
-        hm = combine(stack_vecs(M.field, [H.a for H in homs]), res.witness, (N.dim, M.dim))
+        hm = combine(stack_vecs(homs), res.witness, (N.dim, M.dim))
         inv = hm.inverse()
         if inv is None:
             raise AssertionError("iso-search witness failed exact inversion")

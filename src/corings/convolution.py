@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Algebra, Bimodule, is_projective_left, scalar_algebra
 from .comodule import Comodule
 from .coring import Coring
-from .fields import Matrix, commute_rows, stack_vecs
+from .fields import Matrix, commute_rows, stack_vecs, unstack
 from .report import InvalidStructureError, Report, ReportBuilder
 
 RIGHT = "right-dual"
@@ -96,15 +96,15 @@ class DualAlgebra:
                        else (coring.bimodule.left_action, A.basis_left_mult))
         rows = [commute_rows(acts[a], mults(a)) for a in range(dA)]
         null = Matrix.vstack(rows).nullspace() if rows else Matrix.eye(k, dA * dC)
-        self.basis = [Matrix(k, null.col(j).reshape(dA, dC)) for j in range(null.ncols)]
+        self.basis = unstack(null, (dA, dC))
         self.dim = len(self.basis)
         self._hom = null  # (dA*dC) x dim, columns = vec(basis)
         conv = _convolve_right if side == RIGHT else _convolve_left
         d = self.dim
         mult = k.zeros((d, d, d))
         if d:
-            prods = [conv(coring, X, Y).a for X in self.basis for Y in self.basis]
-            coords = self._hom.solve_matrix(stack_vecs(k, prods))
+            prods = [conv(coring, X, Y) for X in self.basis for Y in self.basis]
+            coords = self._hom.solve_matrix(stack_vecs(prods))
             if coords is None:
                 raise InvalidStructureError(
                     "convolution left the dual hom space; invalid coring input")

@@ -24,12 +24,15 @@ Each field has one exact kernel behind :class:`Matrix` and :func:`_rref`:
   ``scale`` combine numerators scaled to a common denominator.  Integer
   steps run in int64 when a bound (``max|a| * max|b| * k`` for products,
   the sum of the scaled bounds for sums) below 2^62 proves no overflow,
-  and in Python ints otherwise.  The Fraction array ``a`` is still built
-  eagerly, one Fraction per distinct value.
+  and in Python ints otherwise.  Stacking, selection, echelon forms,
+  kernels and solutions carry the integer form too, so a Q result holds
+  only integers: its Fraction array ``a``, one Fraction per distinct value,
+  is built when something first reads ``a`` and is kept from then on.  An
+  F_p matrix always holds its residue array.
 - Q eliminates fraction-free on the numerators N: a pivot updates a
   touched row ``R_i`` to ``pv * R_i - c * R_piv`` on Python ints and
-  divides it by the gcd of its entries, and only the final pivot rows
-  become Fractions.
+  divides it by the gcd of its entries; the pivot rows are then scaled to
+  a common denominator, and no Fraction is made.
 
 Pivoting is first-nonzero with columns scanned left to right, so echelon
 bases are deterministic and reproducible across runs.  The reduced echelon
@@ -116,8 +119,6 @@ class FieldSpec:
     def scalar(self, x) -> object:
         """Canonical field element from an int, Fraction or string."""
         if self.kind == "Q":
-            if isinstance(x, str):
-                return Fraction(x)
             return Fraction(x)
         if isinstance(x, str):
             x = int(x)
@@ -208,25 +209,38 @@ class Matrix:
     def __init__(self, field: FieldSpec, data):
         self.field = field
         self.a = field.asarray(data) if not isinstance(data, np.ndarray) else field.normalize(data)
-        self._q = None
         if self.a.ndim != 2:
             raise ValueError(f"matrix data must be 2-d, got shape {self.a.shape}")
+        self._q = _q_split(self.a) if field.kind == "Q" else None
 
     @classmethod
-    def _raw(cls, field: FieldSpec, arr: np.ndarray, q: Optional[tuple] = None) -> "Matrix":
+    def _raw(cls, field: FieldSpec, arr: Optional[np.ndarray], q: Optional[tuple] = None) -> "Matrix":
         """Wrap an already-normalized array without copying (trusted callers);
-        ``q`` is its integer form over Q, if the caller has it."""
+        ``q`` is its integer form over Q, if the caller has it, and with ``q``
+        ``arr`` may be None: the array is then built when first read."""
         m = cls.__new__(cls)
         m.field = field
-        m.a = arr
+        if arr is not None:
+            m.a = arr
         m._q = q
         return m
 
+    def __getattr__(self, name):
+        # reached only when a slot is empty: an F_p matrix's ``a`` is always
+        # filled, so this runs for a Q matrix whose ``a`` was never read
+        if name != "a":
+            raise AttributeError(name)
+        N, den, _ = self._q
+        self.a = a = _q_from_ints(N, den)
+        return a
+
     @classmethod
-    def _from_ints(cls, field: FieldSpec, N: np.ndarray, den: int) -> "Matrix":
-        """The matrix N / den over Q, with its integer form in lowest terms."""
-        q = _q_lowest(N, den)
-        return cls._raw(field, _q_from_ints(q[0], q[1]), q)
+    def _from_ints(cls, field: FieldSpec, N: np.ndarray, den: int = 1) -> "Matrix":
+        """The matrix N / den: over Q with its integer form in lowest terms;
+        over F_p (den 1) with N reduced mod p."""
+        if field.kind == "Q":
+            return cls._raw(field, None, _q_lowest(N, den))
+        return cls._raw(field, field.normalize(N))
 
     def _ints(self) -> tuple[np.ndarray, int, int]:
         """The integer form ``(N, den, max|N|)`` of a matrix over Q (see
@@ -236,11 +250,14 @@ class Matrix:
         return self._q
 
     def rearranged(self, move) -> "Matrix":
-        """The matrix ``move(self.a)``, for a ``move`` that only rearranges
-        entries (a reshape, a transpose, a permutation of rows or columns);
-        the integer form moves along."""
+        """The matrix ``move(self.a)``, for a ``move`` that rearranges or
+        selects entries (a reshape, a transpose, a choice of rows or
+        columns); over Q the integer form moves instead, back in lowest
+        terms."""
         q = self._q
-        return Matrix._raw(self.field, move(self.a), None if q is None else (move(q[0]),) + q[1:])
+        if q is None:
+            return Matrix._raw(self.field, move(self.a))
+        return Matrix._from_ints(self.field, move(q[0]), q[1])
 
     # -- constructors ----------------------------------------------------
 
@@ -275,32 +292,49 @@ class Matrix:
 
     @staticmethod
     def column(field: FieldSpec, vec) -> "Matrix":
-        return Matrix._raw(field, as_vector(field, vec).reshape(-1, 1))
+        v = as_vector(field, vec).reshape(-1, 1)
+        return Matrix._raw(field, v, _q_split(v) if field.kind == "Q" else None)
+
+    @staticmethod
+    def _joined(mats: Sequence["Matrix"], join) -> "Matrix":
+        """``join`` of the matrices' arrays, for a ``join`` that only places
+        entries; over Q of their numerators over the lcm of the denominators,
+        which keeps lowest terms.  A zero block (bound 0) is left unscaled."""
+        f = mats[0].field
+        if f.kind != "Q":
+            return Matrix._raw(f, join([m.a for m in mats]))
+        forms = [m._ints() for m in mats]
+        den = math.lcm(*(d for _, d, _ in forms))
+        bound = max(b * (den // d) for _, d, b in forms)
+        dtype = np.int64 if bound < (1 << 63) else object
+        N = join([N.astype(dtype) * (den // d) if b else N.astype(dtype) for N, d, b in forms])
+        return Matrix._raw(f, None, (N, den, bound))
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
-        return Matrix._raw(mats[0].field, np.hstack([m.a for m in mats]))
+        return Matrix._joined(mats, np.hstack)
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
-        return Matrix._raw(mats[0].field, np.vstack([m.a for m in mats]))
+        return Matrix._joined(mats, np.vstack)
 
     # -- basic structure -------------------------------------------------
 
     @property
     def shape(self):
-        return self.a.shape
+        q = self._q
+        return self.a.shape if q is None else q[0].shape
 
     @property
     def nrows(self) -> int:
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return self.a.shape[1]
+        return self.shape[1]
 
     def copy(self) -> "Matrix":
-        return Matrix._raw(self.field, self.a.copy())
+        return self.rearranged(np.copy)
 
     def row(self, i: int) -> np.ndarray:
         return self.a[i, :].copy()
@@ -316,7 +350,8 @@ class Matrix:
         return self.transpose()
 
     def submatrix(self, rows, cols) -> "Matrix":
-        return Matrix._raw(self.field, self.a[np.ix_(list(rows), list(cols))])
+        ix = np.ix_(list(rows), list(cols))
+        return self.rearranged(lambda x: x[ix])
 
     def support(self) -> np.ndarray:
         """Boolean array of the nonzero entries."""
@@ -349,12 +384,7 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def _wrap(self, arr: np.ndarray) -> "Matrix":
-        """Wrap the result of arithmetic on canonical entries.
-
-        Residues are reduced mod p; Fraction arithmetic on Fractions already
-        yields canonical Fractions, so rationals are wrapped as they are."""
-        if self.field.kind == "Q":
-            return Matrix._raw(self.field, arr)
+        """Wrap the result of F_p arithmetic on residues, reduced mod p."""
         return Matrix._raw(self.field, self.field.normalize(arr))
 
     def _q_sum(self, other: "Matrix", sign: int) -> "Matrix":
@@ -376,9 +406,7 @@ class Matrix:
         return self._wrap(self.a - other.a)
 
     def __neg__(self) -> "Matrix":
-        if self.field.kind == "Q":
-            return self.scale(-1)
-        return self._wrap(-self.a)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
@@ -402,13 +430,14 @@ class Matrix:
             64 x 64 x 64      307 us    42 us
             81 x 729 x 81     5.8 ms    0.86 ms
         """
-        f, a = self.field, self.a
+        f = self.field
         if f.kind == "Q":
+            x = self._ints()
             if isinstance(other, Matrix):
-                return Matrix._from_ints(f, *_q_product(np.matmul, self._ints(), other._ints(),
-                                                        a.shape[1]))
-            return _q_from_ints(*_q_product(np.matmul, self._ints(),
-                                            _q_split(as_vector(f, other)), a.shape[1]))
+                return Matrix._from_ints(f, *_q_product(np.matmul, x, other._ints(), x[0].shape[1]))
+            return _q_from_ints(*_q_product(np.matmul, x, _q_split(as_vector(f, other)),
+                                            x[0].shape[1]))
+        a = self.a
         b = other.a if isinstance(other, Matrix) else as_vector(f, other)
         if a.shape[0] * b.size >= 4096 and a.shape[1] * (f.p - 1) ** 2 < 1 << 53:
             out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % f.p
@@ -417,67 +446,66 @@ class Matrix:
         return Matrix._raw(f, out) if isinstance(other, Matrix) else out
 
     def kron(self, other: "Matrix") -> "Matrix":
-        if self.a.size == 0 or other.a.size == 0:
-            return self._wrap(np.kron(self.a, other.a))
-        if self.field.kind == "Q":
-            return Matrix._from_ints(self.field,
-                                     *_q_product(_fast_kron, self._ints(), other._ints(), 1))
+        f = self.field
+        if f.kind == "Q":
+            return Matrix._from_ints(f, *_q_product(_fast_kron, self._ints(), other._ints(), 1))
+        if f.p == 2:
+            return Matrix._raw(f, _fast_kron(self.a, other.a))  # a product of bits is a bit
         return self._wrap(_fast_kron(self.a, other.a))
 
     # -- echelon form and friends ---------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        R, piv = self._echelon()
-        return Matrix._raw(self.field, R), tuple(piv)
+        E, den, piv = self._echelon()
+        return Matrix._from_ints(self.field, E, den), tuple(piv)
 
-    def _echelon(self) -> tuple[np.ndarray, list[int]]:
-        return _rref(self.field, self.a, self._ints()[0] if self.field.kind == "Q" else None)
+    def _echelon(self) -> tuple[np.ndarray, int, list[int]]:
+        """``(E, den, pivots)``: the reduced echelon form is E / den, with E
+        reduced residues (den 1) over F_p and integers over Q."""
+        if self.field.kind == "Q":
+            E, piv = _rref(self.field, self._ints()[0])
+            return E, (E[0, piv[0]] if piv else 1), piv
+        E, piv = _rref(self.field, self.a)
+        return E, 1, piv
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._echelon()[2])
+
+    def _kernel(self) -> tuple["Matrix", list[int]]:
+        """The kernel basis of :meth:`nullspace` and its free columns, on
+        which the basis is the identity."""
+        E, den, piv = self._echelon()
+        pivots = set(piv)
+        free = [j for j in range(self.ncols) if j not in pivots]
+        K = np.zeros((self.ncols, len(free)), dtype=E.dtype)
+        K[free, range(len(free))] = den
+        K[piv, :] = -E[:len(piv), free]
+        return Matrix._from_ints(self.field, K, den), free
 
     def nullspace(self) -> "Matrix":
         """Matrix whose columns are a deterministic basis of the kernel."""
-        R, piv = self._echelon()
-        n = self.ncols
-        free = [j for j in range(n) if j not in set(piv)]
-        K = self.field.zeros((n, len(free)))
-        one = self.field.scalar(1)
-        for idx, f in enumerate(free):
-            K[f, idx] = one
-            for r, pcol in enumerate(piv):
-                K[pcol, idx] = -R[r, f]
-        return self._wrap(K)
+        return self._kernel()[0]
 
     def solve(self, b) -> Optional[np.ndarray]:
         """A particular solution of ``self @ x = b`` (free vars 0), or None."""
         bv = as_vector(self.field, b)
         if bv.shape[0] != self.nrows:
             raise ValueError(f"rhs length {bv.shape[0]} != rows {self.nrows}")
-        aug = np.hstack([self.a, bv.reshape(-1, 1)])
-        R, piv = _rref(self.field, aug)
-        n = self.ncols
-        if piv and piv[-1] == n:
-            return None
-        x = self.field.zeros((n,))
-        for r, pcol in enumerate(piv):
-            x[pcol] = R[r, n]
-        return x
+        X = self.solve_matrix(Matrix._raw(self.field, bv.reshape(-1, 1)))
+        return None if X is None else X.a.reshape(-1)
 
     def solve_matrix(self, B: "Matrix") -> Optional["Matrix"]:
         """Columnwise solve of ``self @ X = B``; None if any column fails."""
         if B.nrows != self.nrows:
             raise ValueError("row mismatch")
-        aug = np.hstack([self.a, B.a])
-        R, piv = _rref(self.field, aug)
+        E, den, piv = Matrix.hstack([self, B])._echelon()
         n = self.ncols
         if piv and piv[-1] >= n:
             return None
-        X = self.field.zeros((n, B.ncols))
-        for r, pcol in enumerate(piv):
-            X[pcol, :] = R[r, n:]
-        return self._wrap(X)
+        X = np.zeros((n, B.ncols), dtype=E.dtype)
+        X[piv, :] = E[:len(piv), n:]
+        return Matrix._from_ints(self.field, X, den)
 
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:
@@ -534,10 +562,10 @@ def first_difference(X: Matrix, Y: Matrix) -> Optional[int]:
 
 # -- stacks: equal-shape matrices X_a as the columns vec(X_a) of one matrix ---
 
-def stack_vecs(field: FieldSpec, arrays: Sequence[np.ndarray]) -> Matrix:
-    """The reduced arrays X_a, all of one shape, as the columns vec(X_a)
+def stack_vecs(mats: Sequence[Matrix]) -> Matrix:
+    """The matrices X_a, all of one shape, as the columns vec(X_a)
     (row-major) of one matrix."""
-    return Matrix._raw(field, np.stack(arrays, axis=-1).reshape(-1, len(arrays)))
+    return Matrix._joined(mats, lambda xs: np.stack(xs, axis=-1).reshape(-1, len(xs)))
 
 
 def combine(stack: Matrix, coeffs, shape: tuple[int, int]) -> Matrix:
@@ -624,16 +652,15 @@ def _q_product(op, x: tuple, y: tuple, k: int) -> tuple[np.ndarray, int]:
     return op(na.astype(object), nb.astype(object)), da * db
 
 
-def _rref(field: FieldSpec, a: np.ndarray,
-          N: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced echelon form of ``a`` and its pivot columns; over Q, ``N`` are
-    the numerators of a's integer form when the caller has them."""
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return field.normalize(a.copy()), []
+def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon form and pivot columns of ``a``, which holds reduced
+    residues over F_p and the integer numerators of a matrix over Q; over Q
+    the result is integers over a common denominator (see :func:`_rref_q`)."""
+    if a.size == 0:
+        return a.copy(), []
     if field.kind == "Q":
-        return _rref_q(_q_split(a)[0] if N is None else N)
-    R = field.normalize(a)  # a fresh, reduced array
+        return _rref_q(a)
+    R = a.copy()
     if field.p == 2 and R.dtype == np.int64:
         return _rref_gf2(R)
     return _rref_fp(R, field.p)
@@ -671,9 +698,6 @@ def _rref_fp(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-_Q_ZERO = Fraction(0)
-
-
 def _rref_q(N: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced echelon form over Q, by fraction-free elimination on the
     integer numerators N of a matrix over a common denominator (its integer
@@ -685,7 +709,9 @@ def _rref_q(N: np.ndarray) -> tuple[np.ndarray, list[int]]:
     entries, which keeps its span unchanged.  The whole row is updated: a
     touched row above the pivot row is nonzero left of the pivot column, and
     its scaling by pv must reach those entries too.  At the end each pivot
-    row is divided by its pivot entry; only then do Fractions appear."""
+    row is scaled by L / pv, L the lcm of the pivot entries: the result, an
+    object array of Python ints, is the echelon form times L, and every
+    pivot entry reads L."""
     m, n = N.shape
     R = N.astype(object)
     pivots: list[int] = []
@@ -709,12 +735,10 @@ def _rref_q(N: np.ndarray) -> tuple[np.ndarray, list[int]]:
         row += 1
         if row == m:
             break
-    out = np.empty((m, n), dtype=object)
-    out[:, :] = _Q_ZERO
-    for r, col in enumerate(pivots):
-        pv = R[r, col]
-        out[r, col:] = [_Q_ZERO if x == 0 else Fraction(x, pv) for x in R[r, col:].tolist()]
-    return out, pivots
+    pvs = [R[r, col] for r, col in enumerate(pivots)]
+    lcm = math.lcm(*pvs)
+    R[:len(pvs)] *= np.array([lcm // pv for pv in pvs], dtype=object)[:, None]
+    return R, pivots
 
 
 def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -30,7 +30,7 @@ from .convolution import (RIGHT, DualAlgebra, DualElement, convolution_inverse,
 from .coring import Coring, CoringMorphism, check_coring_morphism
 from .families import (DKStructure, EntwiningStructure, GradedData, coring_from_entwining,
                        entwined_delta_ambient, entwining_from_dk, graded_coring)
-from .fields import FieldSpec, Matrix, commute_rows, sandwich_rows
+from .fields import FieldSpec, Matrix, commute_rows, sandwich_rows, unstack
 from .report import (InvalidStructureError, OracleDisagreementError, Report,
                      ReportBuilder)
 from .unitsearch import (CERTIFIED_NONE, DEFAULT_BUDGET, UNDECIDED, WITNESS,
@@ -71,7 +71,7 @@ def inner_witness_space(f: CoringMorphism) -> list[Matrix]:
     part of the inner-automorphism condition."""
     C = f.source
     null = _p_equation_kernel(C, f.phi, C.delta_ambient)
-    return [Matrix(C.field, null.col(j).reshape(C.base.dim, C.dim)) for j in range(null.ncols)]
+    return unstack(null, (C.base.dim, C.dim))
 
 
 def _p_equation_kernel(C: Coring, phi: Matrix, delta_amb: Matrix) -> Matrix:
@@ -515,7 +515,7 @@ def graded_dual_invertible(values: Matrix, Gd: GradedData) -> Optional[Matrix]:
     if values.shape != (dA, nX):
         raise ValueError("values must be one A-column per set element")
     alg = graded_values_algebra(Gd)
-    x = k.normalize(values.a.T).reshape(-1)  # (x, A-coord) layout
+    x = values.a.T.reshape(-1)  # (x, A-coord) layout
     lmul = alg.left_mult(x)
     rmul = alg.right_mult(x)
     system = Matrix.vstack([rmul, lmul])

@@ -90,11 +90,8 @@ class TensorQuotient:
                        - Matrix.eye(field, M.dim).kron(N.left_action[a].T))
                 keep = rel.support().any(axis=1)
                 if keep.any():
-                    rel_blocks.append(rel.a[keep, :])
-        if rel_blocks:
-            self.relations = Matrix._raw(field, np.vstack(rel_blocks))
-        else:
-            self.relations = Matrix.zeros(field, 0, n)
+                    rel_blocks.append(rel.rearranged(lambda x: x[keep]))
+        self.relations = Matrix.vstack(rel_blocks) if rel_blocks else Matrix.zeros(field, 0, n)
 
         work = self.relations
         self._order = list(column_order) if column_order is not None else None
@@ -103,26 +100,14 @@ class TensorQuotient:
                 raise ValueError("column_order must permute the ambient columns")
             work = work.rearranged(lambda x: x[:, self._order])
 
-        R, pivots = work.rref()
-        piv_set = set(pivots)
-        free = [j for j in range(n) if j not in piv_set]
-        q = len(free)
-        self.dim = q
-
-        project = field.zeros((q, n))
-        section = field.zeros((n, q))
-        one = field.scalar(1)
-        for idx, fcol in enumerate(free):
-            project[idx, fcol] = one
-            section[fcol, idx] = one
-            for r, pcol in enumerate(pivots):
-                project[idx, pcol] = -R.a[r, fcol]
-        if self._order is not None:
-            inv = np.argsort(self._order)
-            project = project[:, inv]
-            section = section[inv, :]
-        self.project = Matrix._raw(field, field.normalize(project))
-        self.section = Matrix._raw(field, section)
+        # the kernel basis, transposed, is the identity on the free columns
+        # and minus the echelon rows' free entries on the pivot columns; the
+        # section is the identity's free columns
+        kernel, free = work._kernel()
+        self.dim = len(free)
+        back = np.argsort(self._order) if self._order is not None else slice(None)
+        self.project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T[:, back]))
+        self.section = Matrix.eye(field, n).rearranged(lambda x: x[back][:, free])
 
     @property
     def module(self) -> Bimodule:

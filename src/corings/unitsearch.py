@@ -90,7 +90,7 @@ def invertible_in_span(
     mode, pts = _coefficient_iter(field, m, n, budget, seed)
     if mode == "over-budget":
         return UnitSearchResult(UNDECIDED)
-    stack = stack_vecs(field, [M.a for M in mats])
+    stack = stack_vecs(mats)
     for t in pts:
         coeffs = as_vector(field, list(t))
         if combine(stack, coeffs, (n, n)).is_invertible():
@@ -129,7 +129,7 @@ def subspace_contains_unit(
     res = invertible_in_span([left_mult(b) for b in basis], budget=budget, seed=seed)
     if res.status != WITNESS:
         return res
-    x = stack_vecs(field, basis) @ res.witness
+    x = Matrix.hstack([Matrix.column(field, b) for b in basis]) @ res.witness
     y = left_mult(x).solve(one)
     if y is None:
         raise AssertionError("unit-search witness failed inversion")

@@ -13,10 +13,14 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from corings import GF, QQ, Algebra, FieldSpec, Matrix, regular_bimodule, tensor_chain
+from corings import (GF, QQ, Algebra, FieldSpec, Matrix, check_coring, graded_coring,
+                     regular_bimodule, tensor_chain)
+from corings import fields
 from corings.fields import (_q_split, _rref, _rref_gf2_packed, basis_vector, commute_rows,
-                            sandwich_rows)
+                            sandwich_rows, stack_vecs, unstack)
 from corings.report import BalancednessError
+
+from conftest import kz2_graded
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -226,10 +230,11 @@ def test_rref_matches_sympy(field, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fp_rref_entries_are_reduced(field, data):
-    # unreduced input straight into the kernel: rows that no pivot touches
-    # keep their first reduction and must still land in [0, p)
+    # unreduced input is reduced once, when the Matrix is built; the kernel
+    # takes those residues as they are, and rows that no pivot touches must
+    # still land in [0, p)
     rows = data.draw(_matrices(st.integers(-3 * field.p, 3 * field.p)))
-    R, piv = _rref(field, np.array(rows, dtype=np.int64))
+    R, piv = _rref(field, Matrix(field, np.array(rows, dtype=np.int64)).a)
     assert R.dtype == np.int64
     assert ((R >= 0) & (R < field.p)).all()
     assert R.tolist() == _sympy_rref(field, rows)[0]
@@ -237,8 +242,8 @@ def test_fp_rref_entries_are_reduced(field, data):
 
 def test_fp_rref_untouched_rows_stay_reduced():
     # the first row has no entry in the second pivot column, so that pivot
-    # leaves it alone: its 7 must still read 2 from the first reduction
-    R, piv = _rref(F5, np.array([[1, 0, 7], [0, -1, 13], [2, 0, -6]], dtype=np.int64))
+    # leaves it alone: its 7 must still read 2 from the reduction on input
+    R, piv = _rref(F5, Matrix(F5, np.array([[1, 0, 7], [0, -1, 13], [2, 0, -6]])).a)
     assert piv == [0, 1]
     assert R.tolist() == [[1, 0, 2], [0, 1, 2], [0, 0, 0]]
 
@@ -384,6 +389,130 @@ def test_q_zero_results_over_denominators_past_int64():
     for got in (A @ B, A - A, A.scale(0), A.kron(Matrix(QQ, [[0]]))):
         assert got.is_zero() and got._q[1] == 1
         _assert_integer_form(got)
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan elimination on Fractions: first nonzero pivot, columns
+    left to right."""
+    R = [[Fraction(x) for x in r] for r in rows]
+    pivots, row = [], 0
+    for col in range(len(R[0])):
+        hit = next((i for i in range(row, len(R)) if R[i][col] != 0), None)
+        if hit is None:
+            continue
+        R[row], R[hit] = R[hit], R[row]
+        R[row] = [x / R[row][col] for x in R[row]]
+        for i in range(len(R)):
+            if i != row and R[i][col] != 0:
+                R[i] = [x - R[i][col] * y for x, y in zip(R[i], R[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(R):
+            break
+    return R, pivots
+
+
+def _fraction_solve(a, b):
+    """The solution of a X = b with free variables 0, from the Fraction
+    echelon form of [a | b]; None when b is not in the column space."""
+    n = len(a[0])
+    R, pivots = _fraction_rref([r + t for r, t in zip(a, b)])
+    if pivots and pivots[-1] >= n:
+        return None
+    X = [[Fraction(0)] * len(b[0]) for _ in range(n)]
+    for r, p in enumerate(pivots):
+        X[p] = R[r][n:]
+    return X
+
+
+def _filled(m):
+    """Whether m holds its array ``a``, looked up without building it."""
+    try:
+        Matrix.a.__get__(m, Matrix)
+    except AttributeError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_q_carried_forms_match_fraction_loops(data):
+    """Stacks, selections, echelon forms, kernels and solutions over Q carry
+    their integer form and leave ``a`` unbuilt; once read, ``a`` equals a
+    Fraction loop and the form equals one computed afresh from it."""
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 3))
+    a = data.draw(_rows(_any_q, m, n))
+    c = data.draw(_rows(_any_q, k, n))
+    A, C = Matrix(QQ, a), Matrix(QQ, c)
+    if data.draw(st.booleans()):  # a solvable right-hand side
+        b = _naive_matmul(a, data.draw(_rows(_any_q, n, k)))
+    else:
+        b = data.draw(_rows(_any_q, m, k))
+    B = Matrix(QQ, b)
+    rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))
+    cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    s = data.draw(_any_q)
+
+    R, piv = _fraction_rref(a)
+    free = [j for j in range(n) if j not in piv]
+    kernel = [[-R[piv.index(i)][f] if i in piv else Fraction(int(i == f)) for f in free]
+              for i in range(n)]
+    flat = [x for r in a for x in r]
+
+    assert A.rref()[1] == tuple(piv)
+    expect = {
+        "hstack": (Matrix.hstack([A, B]), [r + t for r, t in zip(a, b)]),
+        "vstack": (Matrix.vstack([A, C]), a + c),
+        "stack_vecs": (stack_vecs([A, A.scale(s)]), [[x, s * x] for x in flat]),
+        "unstack": (unstack(Matrix.hstack([A, B]), (m, 1))[-1], [[r[-1]] for r in b]),
+        "submatrix": (A.submatrix(rows, cols), [[a[i][j] for j in cols] for i in rows]),
+        "column pick": (A.rearranged(lambda x: x[:, cols[:1]]), [[r[cols[0]]] for r in a]),
+        "reshape": (A.rearranged(lambda x: x.reshape(1, -1)), [flat]),
+        "copy": (A.copy(), a),
+        "rref": (A.rref()[0], R),
+        "nullspace": (A.nullspace(), kernel),
+        "solve_matrix": (A.solve_matrix(B), _fraction_solve(a, b)),
+    }
+    for name, (got, want) in expect.items():
+        if want is None:
+            assert got is None, name
+            continue
+        assert not _filled(got), name
+        assert got.a.tolist() == want, name
+        _assert_integer_form(got)
+    x, want = A.solve([r[0] for r in b]), _fraction_solve(a, [r[:1] for r in b])
+    assert (x is None) if want is None else x.tolist() == [r[0] for r in want]
+
+
+def test_q_selections_from_carried_forms_are_in_lowest_terms():
+    # a product carries its form over the common denominator 2; a column
+    # of integers picked from it must compare and test as integers
+    S = Matrix(QQ, [[1, Fraction(1, 2)], [2, 0]]) @ Matrix.eye(QQ, 2)
+    assert unstack(S, (2, 1))[0] == Matrix(QQ, [[1], [2]])
+    zero = Matrix(QQ, [[0, Fraction(1, 2)]]) @ Matrix.eye(QQ, 2)
+    assert zero.rearranged(lambda x: x[:, :1]).is_zero()
+
+
+def test_check_coring_over_q_builds_no_fraction_array(monkeypatch):
+    C = graded_coring(kz2_graded(QQ))
+    built = []
+    real = fields._q_from_ints
+    monkeypatch.setattr(fields, "_q_from_ints", lambda N, den: built.append(N.shape) or real(N, den))
+    assert check_coring(C).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(2**31 - 1)], ids=str)
+def test_fp_matrices_always_hold_their_array(field):
+    A = Matrix(field, [[1, 2, 0], [2, 4, 1]])
+    results = [A + A, A - A, -A, A.scale(2), A @ A.T, A.kron(A), A.T, A.copy(),
+               A.submatrix([1], [0, 2]), Matrix.hstack([A, A]), Matrix.vstack([A, A]),
+               A.rref()[0], A.nullspace(), A.solve_matrix(A), stack_vecs([A, A]),
+               *unstack(A, (1, 2)), Matrix.zeros(field, 2, 2), Matrix.eye(field, 2),
+               Matrix.column(field, [1, 2]), tensor_chain([regular_bimodule(
+                   Algebra(field, [[[1]]], [1]))] * 2).project]
+    assert all(_filled(m) for m in results)
 
 
 def _quarter_algebra():
