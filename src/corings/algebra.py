@@ -76,13 +76,19 @@ class Algebra:
         return self._rmul[i]
 
     def element_inverse(self, x) -> Optional[np.ndarray]:
-        """Two-sided inverse of an element, or None."""
-        L = self.left_mult(x)
-        y = L.solve(self.unit)
+        """Two-sided inverse of an element, or None.
+
+        Solves y x = 1 and x y = 1 together as one stacked linear system
+        (over non-associative structure constants, as a malformed document
+        may give, a one-sided solution need not be two-sided) and
+        re-verifies both identities exactly on any solution."""
+        system = Matrix.vstack([self.right_mult(x), self.left_mult(x)])
+        y = system.solve(np.concatenate([self.unit, self.unit]))
         if y is None:
             return None
-        if not np.all(self.multiply(y, x) == self.unit):
-            return None
+        if not (np.all(self.multiply(y, x) == self.unit)
+                and np.all(self.multiply(x, y) == self.unit)):
+            raise AssertionError("element inverse failed re-verification")
         return y
 
     def opposite(self) -> "Algebra":

@@ -7,8 +7,7 @@ form, solving, nullspaces and inverses with no rounding anywhere.
 
 Each field has one exact kernel behind :class:`Matrix` and :func:`_rref`:
 
-- F_2 eliminates by XOR, on packed bit rows once the matrix has at least
-  8 rows and columns.
+- F_2 eliminates by XOR of rows packed into Python-int bitmasks.
 - F_p (p odd) eliminates on residue arrays.  After each pivot only the rows
   that the pivot touched are updated and reduced mod p; every other row
   is already reduced.
@@ -660,10 +659,9 @@ def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         return a.copy(), []
     if field.kind == "Q":
         return _rref_q(a)
-    R = a.copy()
-    if field.p == 2 and R.dtype == np.int64:
-        return _rref_gf2(R)
-    return _rref_fp(R, field.p)
+    if field.p == 2 and a.dtype == np.int64:
+        return _rref_gf2_packed(a)
+    return _rref_fp(a.copy(), field.p)
 
 
 def _rref_fp(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -741,45 +739,19 @@ def _rref_q(N: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    # entries already reduced to {0,1}; elimination is xor, no modulo pass
-    m, n = R.shape
-    if m >= 8 and n >= 8 and _sys_little_endian:
-        return _rref_gf2_packed(R)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        spot = np.nonzero(R[row:, col])[0]
-        if spot.size == 0:
-            continue
-        piv = row + int(spot[0])
-        if piv != row:
-            R[[row, piv], :] = R[[piv, row], :]
-        mask = R[:, col].astype(bool)
-        mask[row] = False
-        if mask.any():
-            R[mask, :] ^= R[row, :]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return R, pivots
-
-
-_sys_little_endian = __import__("sys").byteorder == "little"
-
-
 def _rref_gf2_packed(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """GF(2) reduced echelon on Python-int bitmasks (bit j = column j).
+    """GF(2) reduced echelon form of the 0/1 array R, computed on rows
+    packed into Python-int bitmasks (bit j = column j); R is not modified.
 
     Rows are deduplicated first; that is safe because the reduced echelon
-    form is canonical for the row space, so the result and every downstream
-    pivot choice match the unpacked computation exactly."""
+    form is canonical for the row space, so the result and every pivot
+    choice match row-by-row elimination exactly."""
     m, n = R.shape
     W = (n + 63) // 64
     padded = np.zeros((m, W * 64), dtype=np.uint8)
     padded[:, :n] = R.astype(np.uint8)
-    words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64).reshape(m, W)
+    # bit j of a row's little-endian words is column j, on any host
+    words = np.packbits(padded, axis=1, bitorder="little").view("<u8").reshape(m, W)
     if W == 1:
         packed = words[:, 0].tolist()
     else:

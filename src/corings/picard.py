@@ -175,14 +175,19 @@ class AutomorphismSet:
     complete: bool
     rho_fixed_identity: bool = True
 
+    # (phi, rho matrix) -> index of its first element
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {}
+        for i, g in enumerate(self.elements):
+            self._index.setdefault((g.phi, g.rho.matrix), i)
+
     def __len__(self) -> int:
         return len(self.elements)
 
     def find(self, phi: Matrix, rho: Matrix) -> Optional[int]:
-        for i, g in enumerate(self.elements):
-            if g.phi == phi and g.rho.matrix == rho:
-                return i
-        return None
+        return self._index.get((phi, rho))
 
 
 # candidates tested per array product by the automorphism scans
@@ -398,39 +403,30 @@ def verify_exact_sequence(C: Coring, auts: AutomorphismSet,
                               inn_count=len(inn), undecided=undecided,
                               oracle_agreements=agreements)
     if auts.complete and undecided == 0:
-        rep.inn_closed = _inn_subgroup_checks(auts, flags, closed_only=True)
-        rep.inn_normal = _inn_subgroup_checks(auts, flags, closed_only=False)
+        rep.inn_closed, rep.inn_normal = _inn_subgroup_checks(auts, flags)
         if inn:
             rep.out_count = len(auts.elements) // len(inn)
             rep.coset_representatives = _coset_representatives(auts, flags)
     return rep
 
 
-def _inn_subgroup_checks(auts: AutomorphismSet, flags: Sequence[Optional[bool]],
-                         closed_only: bool) -> bool:
-    inner_idx = [i for i, v in enumerate(flags) if v]
+def _inn_subgroup_checks(auts: AutomorphismSet,
+                         flags: Sequence[Optional[bool]]) -> tuple[bool, bool]:
+    """(closed, normal): whether the inner automorphisms are closed under
+    inverses and composition, and whether they are also closed under
+    conjugation by every automorphism (a normal subgroup)."""
+    def inner(m: CoringMorphism) -> bool:
+        j = auts.find(m.phi, m.rho.matrix)
+        return j is not None and bool(flags[j])
     elems = auts.elements
-    for i in inner_idx:
-        fi = elems[i]
-        inv = fi.inverse()
-        j = auts.find(inv.phi, inv.rho.matrix)
-        if j is None or not flags[j]:
-            return False
-        for t in inner_idx:
-            comp = fi.compose(elems[t])
-            j = auts.find(comp.phi, comp.rho.matrix)
-            if j is None or not flags[j]:
-                return False
-    if closed_only:
-        return True
+    inn = [elems[i] for i, v in enumerate(flags) if v]
+    if not all(inner(f.inverse()) and all(inner(f.compose(h)) for h in inn) for f in inn):
+        return False, False
     for g in elems:
         ginv = g.inverse()
-        for i in inner_idx:
-            conj = g.compose(elems[i]).compose(ginv)
-            j = auts.find(conj.phi, conj.rho.matrix)
-            if j is None or not flags[j]:
-                return False
-    return True
+        if not all(inner(g.compose(f).compose(ginv)) for f in inn):
+            return True, False
+    return True, True
 
 
 def _coset_representatives(auts: AutomorphismSet, flags: Sequence[Optional[bool]]) -> list[int]:
@@ -514,18 +510,9 @@ def graded_dual_invertible(values: Matrix, Gd: GradedData) -> Optional[Matrix]:
     nX, dA = Gd.set_size, A.dim
     if values.shape != (dA, nX):
         raise ValueError("values must be one A-column per set element")
-    alg = graded_values_algebra(Gd)
     x = values.a.T.reshape(-1)  # (x, A-coord) layout
-    lmul = alg.left_mult(x)
-    rmul = alg.right_mult(x)
-    system = Matrix.vstack([rmul, lmul])
-    target = np.concatenate([alg.unit, alg.unit])
-    y = system.solve(target)
-    if y is None:
-        return None
-    if not (np.all(alg.multiply(y, x) == alg.unit) and np.all(alg.multiply(x, y) == alg.unit)):
-        raise AssertionError("graded inverse failed re-verification")
-    return Matrix(k, y.reshape(nX, dA).T)
+    y = graded_values_algebra(Gd).element_inverse(x)
+    return None if y is None else Matrix(k, y.reshape(nX, dA).T)
 
 
 @dataclass

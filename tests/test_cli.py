@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from corings import GF
+from corings import GF, QQ, cli
 from corings.cli import main
 from corings import io as doc_io
+from corings.comodule import NOT_ISOMORPHIC, IsoSearchResult
+from corings.picard import NOT_INNER, InnerTestResult
 
 F2, F3 = GF(2), GF(3)
 
@@ -456,3 +458,81 @@ def test_dk_over_a_rescaled_basis_validates(tmp_path, capsys, a_mult, a_unit):
     doc_io.save(path, doc_io.document("dk", GF(5), payload))
     code, _, machine = run(capsys, "validate", path)
     assert code == 0 and machine["ok"] is True
+
+
+SUBCOMMANDS = ["validate", "build", "inner", "exactseq", "dual", "convinv", "cotensor",
+               "cointegral", "graded-ker", "entwining-ker", "dk-ker"]
+SEARCH_COMMANDS = {"inner", "exactseq", "graded-ker", "entwining-ker", "dk-ker"}
+CROSS_CHECK_COMMANDS = {"inner", "graded-ker", "entwining-ker", "dk-ker"}
+
+
+def _kz2_identity(tmp_path, capsys):
+    cpath, mpath = str(tmp_path / "kz2.json"), str(tmp_path / "id.json")
+    run(capsys, "build", "grouplike", "-n", "2", "--field", "F2", "-o", cpath)
+    doc_io.save(mpath, doc_io.document("morphism", F2, {"phi": [[1, 0], [0, 1]], "rho": [[1]]}))
+    return cpath, mpath
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    """One process, one parser: a call's options and defaults do not leak
+    into the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    qpath, f2path = str(tmp_path / "q.json"), str(tmp_path / "f2.json")
+    assert run(capsys, "build", "grouplike", "--field", "Q", "-o", qpath)[0] == 0
+    assert run(capsys, "build", "grouplike", "-o", f2path)[0] == 0
+    assert doc_io.parse_field(doc_io.load(qpath)) == QQ
+    assert doc_io.parse_field(doc_io.load(f2path)) == F2
+    cpath, mpath = _kz2_identity(tmp_path, capsys)
+    code, out, machine = run(capsys, "inner", cpath, mpath, "--cross-check")
+    assert code == 0 and machine["cross_check"] == "isomorphic"
+    code, out, machine = run(capsys, "inner", cpath, mpath)
+    assert code == 0 and machine["status"] == "inner"
+    assert "cross_check" not in machine and "oracle_agreement" not in machine
+    assert "bicomodule oracle" not in out
+
+
+def test_inner_oracle_disagreement_fails(tmp_path, capsys, monkeypatch):
+    cpath, mpath = _kz2_identity(tmp_path, capsys)
+    monkeypatch.setattr(cli, "inner_via_bicomodule",
+                        lambda m, budget, seed: IsoSearchResult(NOT_ISOMORPHIC))
+    code, out, machine = run(capsys, "inner", cpath, mpath, "--cross-check")
+    assert code == 1
+    assert machine["status"] == "inner" and machine["cross_check"] == NOT_ISOMORPHIC
+    assert machine["oracle_agreement"] is False
+    assert "ORACLE DISAGREEMENT" in out.splitlines()
+
+
+def test_graded_ker_oracle_disagreement_fails(tmp_path, capsys, monkeypatch):
+    gpath, mpath = str(tmp_path / "graded.json"), str(tmp_path / "id.json")
+    run(capsys, "build", "graded", "--group", "2", "--field", "F3", "-o", gpath)
+    doc_io.save(mpath, doc_io.document("morphism", F3, {
+        "phi": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "rho": [[1, 0], [0, 1]],
+    }))
+    monkeypatch.setattr(cli, "is_inner", lambda m, budget, seed: InnerTestResult(m, NOT_INNER))
+    code, out, machine = run(capsys, "graded-ker", gpath, mpath, "--cross-check")
+    assert code == 1
+    assert machine["status"] == "inner" and machine["cross_check"] == NOT_INNER
+    assert machine["oracle_agreement"] is False
+    assert "ORACLE DISAGREEMENT" in out.splitlines()
+
+
+def _help(capsys, command):
+    code = main([command, "--help"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_and_options(capsys, command):
+    """Every subcommand has --help; the search options and --cross-check
+    appear exactly on the commands that take them."""
+    code, out = _help(capsys, command)
+    assert code == 0 and out.startswith(f"usage: corings {command}")
+    assert ("--budget" in out and "--seed" in out) == (command in SEARCH_COMMANDS)
+    assert ("--cross-check" in out) == (command in CROSS_CHECK_COMMANDS)
+
+
+def test_exactseq_rejects_cross_check(tmp_path, capsys):
+    cpath, _ = _kz2_identity(tmp_path, capsys)
+    assert main(["exactseq", cpath, "--enumerate", "--cross-check"]) == 3
+    assert "unrecognized arguments: --cross-check" in capsys.readouterr().err
