@@ -36,8 +36,7 @@ class Algebra:
 
     def __init__(self, field: FieldSpec, mult, unit, names: Optional[Sequence[str]] = None):
         self.field = field
-        m = np.asarray(mult, dtype=object) if field.dtype is object else np.asarray(mult)
-        self.mult = field.normalize(np.array(m, dtype=field.dtype))
+        self.mult = field.asarray(mult)
         shape = self.mult.shape
         if self.mult.ndim != 3 or not shape[0] == shape[1] == shape[2]:
             raise ValueError(f"structure tensor must be (d,d,d), got {shape}")
@@ -47,7 +46,7 @@ class Algebra:
             raise ValueError("unit vector dimension mismatch")
         self.names = list(names) if names is not None else None
         # the structure matrix: column i*d + j is e_i e_j, i.e. mu[r, i*d + j]
-        self.mu = Matrix._raw(field, self.mult.reshape(d * d, d).T.copy())
+        self.mu = Matrix(field, self.mult.reshape(d * d, d).T)
         # the left multiplications L_i (L_i[r, j] = mu[r, i*d + j]) and the
         # right ones R_j (R_j[r, i] = mu[r, i*d + j]) as columns vec(L_i), vec(R_j)
         self.left_stack = self.mu.rearranged(

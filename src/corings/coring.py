@@ -232,16 +232,17 @@ def find_cointegral(C: Coring) -> Optional[Cointegral]:
     # P2 contracted once with the representatives: Zl[c] = (C (x) <P2 row c>)
     # of (Delta (x) C) Delta and Zr[c] = (<P2 row c> (x) C) of (C (x) Delta)
     # Delta, each d x q2, laid out side by side as d x (q2 * q2)
-    repr_l = (cube.section @ dl).a.reshape(d, d * d, q2).transpose(1, 0, 2)
-    repr_r = (cube.section @ dr).a
+    repr_l = (cube.section @ dl).rearranged(
+        lambda x: x.reshape(d, d * d, q2).transpose(1, 0, 2).reshape(d * d, d * q2))
+    repr_r = (cube.section @ dr).rearranged(lambda x: x.reshape(d * d, d * q2))
     P2 = sq.project
-    Zl, Zr = (_side_by_side(P2 @ Matrix._raw(f, rep.reshape(d * d, d * q2)), d, q2)
-              for rep in (repr_l, repr_r))
+    Zl, Zr = (_side_by_side(P2 @ rep, d, q2) for rep in (repr_l, repr_r))
     # the column of unknown (r, c) is vec(R_r Zl[c] - L_r Zr[c])
     mixed = Matrix.vstack([
         _side_by_side(C.bimodule.right_action[r] @ Zl - C.bimodule.left_action[r] @ Zr, q2, q2)
         for r in range(dA)]).T
-    rows.append(Matrix._raw(f, mixed.a[mixed.support().any(axis=1)]))
+    nonzero = mixed.support().any(axis=1)
+    rows.append(mixed.rearranged(lambda x: x[nonzero]))
     system = Matrix.vstack(rows)
     rhs = f.zeros((system.nrows,))
     rhs[: dA * d] = C.epsilon.a.reshape(-1)

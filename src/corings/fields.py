@@ -1,33 +1,50 @@
 """Exact scalars over Q or F_p, and dense exact linear algebra.
 
 Scalars are ``fractions.Fraction`` over the rationals and reduced integer
-residues over a prime field.  Matrices wrap numpy arrays (``object`` dtype
-holding Fractions, or ``int64`` residues) and provide reduced row echelon
-form, solving, nullspaces and inverses with no rounding anywhere.
+residues over a prime field.  Matrices provide reduced row echelon form,
+solving, nullspaces and inverses with no rounding anywhere.
 
-Each field has one exact kernel behind :class:`Matrix` and :func:`_rref`:
+Every :class:`Matrix` holds one integer form: numerators ``N`` over a
+positive denominator ``den``, with a ``bound`` on |N|.
+
+- Over F_p, den is 1 and N is the reduced residue array, which is also
+  the matrix's array ``a``.  It has the field's dtype: int64, or Python
+  ints in an object array past p = 2^20, where int64 products could
+  overflow.  Its bound is always p - 1.
+- Over Q, N / den is in lowest terms: the numerators over the least
+  common denominator of the reduced entries, which is canonical, and the
+  bound is max|N|.  N is int64 when the bound is below 2^63 and Python
+  ints otherwise.  The Fraction array ``a``, one Fraction per distinct
+  value, is built when something first reads it and is kept from then on.
+
+Comparison, hashing, stacking, selection and arithmetic read only the
+integer form, in one code path for both fields: ``==`` compares
+``(den, N)``, ``+``, ``-`` and ``scale`` combine numerators scaled to a
+common denominator, and ``@`` and ``kron`` multiply numerators and
+denominators.  Each result then takes the one field-specific step,
+:meth:`Matrix._from_ints`.  Over F_p it reduces mod p only when the bound
+says an entry can reach p: a Kronecker product over F_2 (bound 1) is left
+as it is, and a difference (bound 2(p - 1) >= p) is always reduced.
+Over Q it brings N / den to lowest terms.
+
+Integer steps run where a bound proves them exact.  A product whose
+entries sum k products each has bound ``k * max|a| * max|b|``, and a sum
+the sum of its scaled bounds.
+
+- Below 2^53, a product of 4096 or more multiply-adds runs on float64
+  BLAS: every partial sum is an exact integer, whatever the summation
+  order or thread count, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet,
+  TOMS 2008).
+- Below 2^62, sums and products run in int64: every partial sum stays
+  below 2^63.
+- Past 2^62 they run in Python ints.
+
+Each field has one exact elimination kernel behind :func:`_rref`:
 
 - F_2 eliminates by XOR of rows packed into Python-int bitmasks.
 - F_p (p odd) eliminates on residue arrays.  After each pivot only the rows
   that the pivot touched are updated and reduced mod p; every other row
   is already reduced.
-- F_p products are integer products reduced mod p; large ones run exactly
-  on float64 BLAS, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, TOMS 2008).
-- Q matrices keep their integer form ``(N, den, max|N|)`` in a private
-  slot: the numerators over the least common denominator of the reduced
-  entries, which is canonical.  Products, Kronecker products, sums,
-  differences, negation, scaling and transposition fill it from their
-  operands' forms; any other matrix computes it once, on first use.  Q
-  arithmetic and comparison read only the integers: ``==`` compares
-  ``(den, N)``, ``support`` and ``is_zero`` read N, and ``+``, ``-`` and
-  ``scale`` combine numerators scaled to a common denominator.  Integer
-  steps run in int64 when a bound (``max|a| * max|b| * k`` for products,
-  the sum of the scaled bounds for sums) below 2^62 proves no overflow,
-  and in Python ints otherwise.  Stacking, selection, echelon forms,
-  kernels and solutions carry the integer form too, so a Q result holds
-  only integers: its Fraction array ``a``, one Fraction per distinct value,
-  is built when something first reads ``a`` and is kept from then on.  An
-  F_p matrix always holds its residue array.
 - Q eliminates fraction-free on the numerators N: a pivot updates a
   touched row ``R_i`` to ``pv * R_i - c * R_piv`` on Python ints and
   divides it by the gcd of its entries; the pivot rows are then scaled to
@@ -50,7 +67,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -60,9 +77,13 @@ import numpy as np
 # size we keep residues in object arrays of Python ints.
 _INT64_PRIME_LIMIT = 1 << 20
 
-# integer products over Q run in int64 while max|a| * max|b| * k stays below
-# this bound: every partial sum of k products is then below 2^62 < 2^63.
-_INT64_PRODUCT_LIMIT = 1 << 62
+# integer sums and products run in int64 while their bound is below 2^62,
+# and on float64 BLAS while it is below 2^53 (see the module docstring)
+_INT64_LIMIT, _FLOAT64_LIMIT = 1 << 62, 1 << 53
+
+# integer dtypes whose every value int64 holds: cast before reducing mod p
+_INT64_WIDTHS = frozenset(map(np.dtype, (np.bool_, np.int8, np.int16, np.int32, np.int64,
+                                         np.uint8, np.uint16, np.uint32)))
 
 
 def _is_prime(n: int) -> bool:
@@ -84,6 +105,9 @@ class FieldSpec:
 
     kind: str  # "Q" | "Fp"
     p: Optional[int] = None
+    # the dtype of arrays of field elements: int64 residues up to p = 2^20,
+    # else Python objects (Python-int residues, or Fractions over Q)
+    dtype: object = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "Q":
@@ -94,6 +118,8 @@ class FieldSpec:
                 raise ValueError(f"characteristic must be a prime in [2, 2^31): {self.p}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        small = self.p is not None and self.p <= _INT64_PRIME_LIMIT
+        object.__setattr__(self, "dtype", np.int64 if small else object)
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -107,25 +133,23 @@ class FieldSpec:
     def characteristic(self) -> int:
         return 0 if self.kind == "Q" else self.p  # type: ignore[return-value]
 
-    @property
-    def dtype(self):
-        if self.kind == "Fp" and self.p <= _INT64_PRIME_LIMIT:
-            return np.int64
-        return object
-
     # -- scalar helpers -------------------------------------------------
 
     def scalar(self, x) -> object:
-        """Canonical field element from an int, Fraction or string."""
+        """Canonical field element from an int, Fraction, float or string;
+        over F_p a value that is not an integer raises ValueError."""
         if self.kind == "Q":
             return Fraction(x)
         if isinstance(x, str):
             x = int(x)
-        if isinstance(x, Fraction):
+        elif not isinstance(x, int):
+            if isinstance(x, float) and not x.is_integer():  # 1.5, inf, nan
+                raise ValueError(f"non-integer residue {x} over F_{self.p}")
+            x = Fraction(x)
             if x.denominator != 1:
                 raise ValueError(f"non-integer residue {x} over F_{self.p}")
             x = x.numerator
-        return int(x) % self.p
+        return x % self.p
 
     def inv_scalar(self, x):
         if self.kind == "Q":
@@ -146,28 +170,22 @@ class FieldSpec:
     # -- array helpers ---------------------------------------------------
 
     def asarray(self, data) -> np.ndarray:
-        a = np.array(data, dtype=self.dtype)
-        return self.normalize(a)
+        """The canonical array of an array or of nested lists of scalars."""
+        return self.normalize(_scalars(data))
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
+        """The canonical array of an array of scalars: Fractions over Q;
+        over F_p residues of the field's dtype, where an entry that is not
+        an integer raises ValueError."""
         if self.kind == "Fp":
-            # past the int64 prime limit residues live in object arrays, whose
-            # products never overflow; an int64 input would keep int64 here
-            if self.p > _INT64_PRIME_LIMIT and a.dtype != object:
-                a = a.astype(object)
-            return a % self.p
-        if a.dtype != object:
-            b = np.empty(a.shape, dtype=object)
-            flat_b, flat_a = b.reshape(-1), a.reshape(-1)
-            for i in range(flat_a.size):
-                flat_b[i] = Fraction(flat_a[i])
-            return b
-        b = a.copy()
-        flat = b.reshape(-1)
-        for i in range(flat.size):
-            if not isinstance(flat[i], Fraction):
-                flat[i] = Fraction(flat[i])
-        return b
+            if a.dtype in _INT64_WIDTHS:
+                return a.astype(self.dtype, copy=False) % self.p
+            flat = [self.scalar(x) for x in a.reshape(-1).tolist()]
+            return np.array(flat, dtype=self.dtype).reshape(a.shape)
+        out = np.empty(a.shape, dtype=object)
+        out.reshape(-1)[:] = [x if type(x) is Fraction else Fraction(x)
+                              for x in a.reshape(-1).tolist()]
+        return out
 
     def zeros(self, shape) -> np.ndarray:
         if self.dtype is object:
@@ -187,6 +205,24 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec.prime(p)
 
 
+def _scalars(data) -> np.ndarray:
+    """An array, or nested lists of scalars as an array with no rounding:
+    integers that int64 holds become int64, and numpy's float or string
+    guess for anything else (say, an integer past int64 next to a negative
+    one) is replaced by the Python objects themselves."""
+    if isinstance(data, np.ndarray):
+        return data
+    a = np.array(data)
+    return a if a.dtype == object or a.dtype in _INT64_WIDTHS else np.array(data, dtype=object)
+
+
+def _vector(data) -> np.ndarray:
+    v = _scalars(data if isinstance(data, np.ndarray) else list(data))
+    if v.ndim != 1:
+        raise ValueError("expected a vector")
+    return v
+
+
 def _fast_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron without its expand_dims overhead; hot path."""
     r1, c1 = a.shape
@@ -198,116 +234,94 @@ _EYE_CACHE: dict = {}
 
 
 class Matrix:
-    """Dense exact matrix over a :class:`FieldSpec`.
+    """Dense exact matrix over a :class:`FieldSpec`: the numerators ``N``
+    over ``den``, with ``bound`` on |N| (see the module docstring).
 
     Instances are treated as immutable; all operations return new matrices.
     """
 
-    __slots__ = ("field", "a", "_q")
+    __slots__ = ("field", "a", "N", "den", "bound")
 
     def __init__(self, field: FieldSpec, data):
-        self.field = field
-        self.a = field.asarray(data) if not isinstance(data, np.ndarray) else field.normalize(data)
-        if self.a.ndim != 2:
-            raise ValueError(f"matrix data must be 2-d, got shape {self.a.shape}")
-        self._q = _q_split(self.a) if field.kind == "Q" else None
-
-    @classmethod
-    def _raw(cls, field: FieldSpec, arr: Optional[np.ndarray], q: Optional[tuple] = None) -> "Matrix":
-        """Wrap an already-normalized array without copying (trusted callers);
-        ``q`` is its integer form over Q, if the caller has it, and with ``q``
-        ``arr`` may be None: the array is then built when first read."""
-        m = cls.__new__(cls)
-        m.field = field
-        if arr is not None:
-            m.a = arr
-        m._q = q
-        return m
+        a = field.asarray(data)
+        if a.ndim != 2:
+            raise ValueError(f"matrix data must be 2-d, got shape {a.shape}")
+        self.field, self.a = field, a
+        self.N, self.den, self.bound = _q_split(a) if field.kind == "Q" else (a, 1, field.p - 1)
 
     def __getattr__(self, name):
-        # reached only when a slot is empty: an F_p matrix's ``a`` is always
-        # filled, so this runs for a Q matrix whose ``a`` was never read
+        # reached only when a slot is empty: an F_p matrix's ``a`` is N, so
+        # this runs for a Q matrix whose ``a`` was never read; it is
+        # read-only where N is (the shared identities)
         if name != "a":
             raise AttributeError(name)
-        N, den, _ = self._q
-        self.a = a = _q_from_ints(N, den)
+        N = self.N
+        self.a = a = _q_from_ints(N, self.den)
+        a.setflags(write=N.flags.writeable)
         return a
 
-    @classmethod
-    def _from_ints(cls, field: FieldSpec, N: np.ndarray, den: int = 1) -> "Matrix":
-        """The matrix N / den: over Q with its integer form in lowest terms;
-        over F_p (den 1) with N reduced mod p."""
+    @staticmethod
+    def _from_ints(field: FieldSpec, N: np.ndarray, den: int = 1,
+                   bound: Optional[int] = None) -> "Matrix":
+        """The matrix N / den, for an integer array N with |N| <= bound
+        (None: not known).  Over F_p (den 1) N is reduced mod p, into the
+        field's dtype, unless bound < p.  Only nonnegative results skip the
+        reduction: every F_p matrix has bound p - 1, so a difference, the
+        one step that makes negative entries, has bound 2(p - 1) >= p.
+        Over Q N / den is brought to lowest terms."""
+        m = Matrix.__new__(Matrix)
+        m.field = field
         if field.kind == "Q":
-            return cls._raw(field, None, _q_lowest(N, den))
-        return cls._raw(field, field.normalize(N))
-
-    def _ints(self) -> tuple[np.ndarray, int, int]:
-        """The integer form ``(N, den, max|N|)`` of a matrix over Q (see
-        :func:`_q_split`), computed at most once per matrix."""
-        if self._q is None:
-            self._q = _q_split(self.a)
-        return self._q
+            m.N, m.den, m.bound = _q_lowest(N, den)
+            return m
+        p = field.p
+        if bound is None or bound >= p:
+            N = (N % p).astype(field.dtype, copy=False)
+        m.a = m.N = N
+        m.den, m.bound = 1, p - 1
+        return m
 
     def rearranged(self, move) -> "Matrix":
         """The matrix ``move(self.a)``, for a ``move`` that rearranges or
         selects entries (a reshape, a transpose, a choice of rows or
-        columns); over Q the integer form moves instead, back in lowest
+        columns); the numerators move, and over Q come back in lowest
         terms."""
-        q = self._q
-        if q is None:
-            return Matrix._raw(self.field, move(self.a))
-        return Matrix._from_ints(self.field, move(q[0]), q[1])
+        return Matrix._from_ints(self.field, move(self.N), self.den, self.bound)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix._raw(field, field.zeros((rows, cols)))
+        return Matrix._from_ints(field, np.zeros((rows, cols), dtype=field.dtype), 1, 0)
 
     @staticmethod
     def eye(field: FieldSpec, n: int) -> "Matrix":
+        """The identity, one shared read-only instance per field and size."""
         key = (field, n)
         hit = _EYE_CACHE.get(key)
         if hit is None:
-            arr = field.zeros((n, n))
-            one = field.scalar(1)
-            for i in range(n):
-                arr[i, i] = one
-            arr.setflags(write=False)
-            q = None
-            if field.kind == "Q":
-                N = np.eye(n, dtype=np.int64)
-                N.setflags(write=False)
-                q = (N, 1, int(n > 0))
-            hit = _EYE_CACHE[key] = (arr, q)
-        return Matrix._raw(field, *hit)
+            hit = _EYE_CACHE[key] = Matrix._from_ints(field, np.eye(n, dtype=field.dtype), 1, 1)
+            hit.N.setflags(write=False)
+        return hit
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        n = len(rows)
-        if n == 0:
-            return Matrix.zeros(field, 0, 0)
-        return Matrix(field, [[field.scalar(x) for x in r] for r in rows])
+        return Matrix(field, rows) if len(rows) else Matrix.zeros(field, 0, 0)
 
     @staticmethod
     def column(field: FieldSpec, vec) -> "Matrix":
-        v = as_vector(field, vec).reshape(-1, 1)
-        return Matrix._raw(field, v, _q_split(v) if field.kind == "Q" else None)
+        return Matrix(field, _vector(vec).reshape(-1, 1))
 
     @staticmethod
     def _joined(mats: Sequence["Matrix"], join) -> "Matrix":
-        """``join`` of the matrices' arrays, for a ``join`` that only places
-        entries; over Q of their numerators over the lcm of the denominators,
-        which keeps lowest terms.  A zero block (bound 0) is left unscaled."""
-        f = mats[0].field
-        if f.kind != "Q":
-            return Matrix._raw(f, join([m.a for m in mats]))
-        forms = [m._ints() for m in mats]
-        den = math.lcm(*(d for _, d, _ in forms))
-        bound = max(b * (den // d) for _, d, b in forms)
+        """``join`` of the matrices' numerators, for a ``join`` that only
+        places entries, over the lcm of their denominators, which keeps
+        lowest terms."""
+        den = math.lcm(*[m.den for m in mats])
+        bound = max([m.bound * (den // m.den) for m in mats])
         dtype = np.int64 if bound < (1 << 63) else object
-        N = join([N.astype(dtype) * (den // d) if b else N.astype(dtype) for N, d, b in forms])
-        return Matrix._raw(f, None, (N, den, bound))
+        N = join([m.N if m.den == den else m.N.astype(dtype) * (den // m.den) for m in mats])
+        return Matrix._from_ints(mats[0].field, N, den, bound)
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
@@ -321,16 +335,15 @@ class Matrix:
 
     @property
     def shape(self):
-        q = self._q
-        return self.a.shape if q is None else q[0].shape
+        return self.N.shape
 
     @property
     def nrows(self) -> int:
-        return self.shape[0]
+        return self.N.shape[0]
 
     @property
     def ncols(self) -> int:
-        return self.shape[1]
+        return self.N.shape[1]
 
     def copy(self) -> "Matrix":
         return self.rearranged(np.copy)
@@ -354,74 +367,66 @@ class Matrix:
 
     def support(self) -> np.ndarray:
         """Boolean array of the nonzero entries."""
-        if self.field.kind == "Q":
-            return self._ints()[0] != 0
-        return self.a != 0
+        return self.N != 0
 
     def is_zero(self) -> bool:
-        if self.field.kind == "Q":
-            return self._ints()[2] == 0
-        return not self.a.any()
+        return not self.N.any()
 
     def __eq__(self, other) -> bool:
+        # the integer form is canonical: equal matrices have equal (den, N)
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
-            return False
-        if self.field.kind == "Q":
-            # the integer form of the reduced entries is canonical
-            (na, da, _), (nb, db, _) = self._ints(), other._ints()
-            return da == db and bool(np.array_equal(na, nb))
-        return bool(np.array_equal(self.a, other.a))
+        na, nb = self.N, other.N
+        return self.field == other.field and self.den == other.den and \
+            na.shape == nb.shape and bool((na == nb).all())
 
     def __hash__(self):
-        return hash((self.field, self.shape, tuple(self.field.format_scalar(x) for x in self.a.reshape(-1))))
+        N = self.N
+        return hash((self.field, self.den, N.shape, tuple(N.reshape(-1).tolist())))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field}, {self.a.tolist()!r})"
 
     # -- arithmetic --------------------------------------------------------
 
-    def _wrap(self, arr: np.ndarray) -> "Matrix":
-        """Wrap the result of F_p arithmetic on residues, reduced mod p."""
-        return Matrix._raw(self.field, self.field.normalize(arr))
-
-    def _q_sum(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other over Q, on numerators over the lcm of the two
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, on numerators over the lcm of the two
         denominators."""
-        (na, da, ma), (nb, db, mb) = self._ints(), other._ints()
-        den = math.lcm(da, db)
-        return Matrix._from_ints(self.field, _q_combine(((na, ma, den // da),
-                                                         (nb, mb, sign * (den // db)))), den)
+        na, nb, da, db = self.N, other.N, self.den, other.den
+        if da == db:
+            den, bound = da, self.bound + other.bound
+        else:
+            den = math.lcm(da, db)
+            bound = self.bound * (den // da) + other.bound * (den // db)
+        if bound >= _INT64_LIMIT:
+            na, nb = na.astype(object), nb.astype(object)
+        if da != db:
+            na, nb = na * (den // da), nb * (den // db)
+        return Matrix._from_ints(self.field, na + nb if sign > 0 else na - nb, den, bound)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field.kind == "Q":
-            return self._q_sum(other, 1)
-        return self._wrap(self.a + other.a)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.field.kind == "Q":
-            return self._q_sum(other, -1)
-        return self._wrap(self.a - other.a)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
-        if self.field.kind == "Q":
-            N, den, bound = self._ints()
-            return Matrix._from_ints(self.field, _q_combine(((N, bound, c.numerator),)),
-                                     den * c.denominator)
-        return self._wrap(self.a * c)
+        bound = self.bound * abs(c.numerator)
+        N = self.N if bound < _INT64_LIMIT else self.N.astype(object)
+        return Matrix._from_ints(self.field, N * c.numerator, self.den * c.denominator, bound)
 
-    def __matmul__(self, other):
-        """Product with a Matrix (a Matrix) or a vector (a reduced array).
+    def _product(self, op, other: "Matrix", k: int) -> "Matrix":
+        """``op`` of the two matrices' numerators, for a bilinear ``op``
+        whose output entries sum at most k products each (matmul: the
+        inner dimension; kron: 1), over the product of the denominators.
 
-        F_p products of rows * k * cols >= 4096 multiply-adds run on float64
-        BLAS while ``k * (p-1)^2 < 2^53``: every partial sum is then an exact
-        integer, whatever the summation order or thread count.  The rest run
-        in int64 (object for p > 2^20).  Measured on one Xeon thread, F_3:
+        Products of rows * k * cols >= 4096 multiply-adds run on float64
+        BLAS while the bound is below 2^53.  Measured on one Xeon thread
+        over F_3 (int64 against float64):
 
             rows x k x cols   int64     float64
             4 x 4 x 4         3.0 us    4.6 us
@@ -429,28 +434,25 @@ class Matrix:
             64 x 64 x 64      307 us    42 us
             81 x 729 x 81     5.8 ms    0.86 ms
         """
-        f = self.field
-        if f.kind == "Q":
-            x = self._ints()
-            if isinstance(other, Matrix):
-                return Matrix._from_ints(f, *_q_product(np.matmul, x, other._ints(), x[0].shape[1]))
-            return _q_from_ints(*_q_product(np.matmul, x, _q_split(as_vector(f, other)),
-                                            x[0].shape[1]))
-        a = self.a
-        b = other.a if isinstance(other, Matrix) else as_vector(f, other)
-        if a.shape[0] * b.size >= 4096 and a.shape[1] * (f.p - 1) ** 2 < 1 << 53:
-            out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % f.p
+        na, nb = self.N, other.N
+        bound = self.bound * other.bound * k
+        if bound >= _INT64_LIMIT:
+            N = op(na.astype(object), nb.astype(object))
+        elif bound < _FLOAT64_LIMIT and op is np.matmul and na.shape[0] * nb.size >= 4096:
+            N = (na.astype(np.float64) @ nb.astype(np.float64)).astype(np.int64)
         else:
-            out = a @ b % f.p
-        return Matrix._raw(f, out) if isinstance(other, Matrix) else out
+            N = op(na, nb)
+        return Matrix._from_ints(self.field, N, self.den * other.den, bound)
+
+    def __matmul__(self, other):
+        """Product with a Matrix (a Matrix) or a vector (a reduced array)."""
+        if isinstance(other, Matrix):
+            return self._product(np.matmul, other, self.N.shape[1])
+        col = Matrix.column(self.field, other)
+        return self._product(np.matmul, col, self.N.shape[1]).a.reshape(-1)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        if f.kind == "Q":
-            return Matrix._from_ints(f, *_q_product(_fast_kron, self._ints(), other._ints(), 1))
-        if f.p == 2:
-            return Matrix._raw(f, _fast_kron(self.a, other.a))  # a product of bits is a bit
-        return self._wrap(_fast_kron(self.a, other.a))
+        return self._product(_fast_kron, other, 1)
 
     # -- echelon form and friends ---------------------------------------
 
@@ -460,13 +462,10 @@ class Matrix:
         return Matrix._from_ints(self.field, E, den), tuple(piv)
 
     def _echelon(self) -> tuple[np.ndarray, int, list[int]]:
-        """``(E, den, pivots)``: the reduced echelon form is E / den, with E
-        reduced residues (den 1) over F_p and integers over Q."""
-        if self.field.kind == "Q":
-            E, piv = _rref(self.field, self._ints()[0])
-            return E, (E[0, piv[0]] if piv else 1), piv
-        E, piv = _rref(self.field, self.a)
-        return E, 1, piv
+        """``(E, den, pivots)``: the reduced echelon form is E / den, and
+        every pivot entry of E is den (1 over F_p)."""
+        E, piv = _rref(self.field, self.N)
+        return E, (int(E[0, piv[0]]) if piv else 1), piv
 
     def rank(self) -> int:
         return len(self._echelon()[2])
@@ -488,10 +487,10 @@ class Matrix:
 
     def solve(self, b) -> Optional[np.ndarray]:
         """A particular solution of ``self @ x = b`` (free vars 0), or None."""
-        bv = as_vector(self.field, b)
-        if bv.shape[0] != self.nrows:
-            raise ValueError(f"rhs length {bv.shape[0]} != rows {self.nrows}")
-        X = self.solve_matrix(Matrix._raw(self.field, bv.reshape(-1, 1)))
+        B = Matrix.column(self.field, b)
+        if B.nrows != self.nrows:
+            raise ValueError(f"rhs length {B.nrows} != rows {self.nrows}")
+        X = self.solve_matrix(B)
         return None if X is None else X.a.reshape(-1)
 
     def solve_matrix(self, B: "Matrix") -> Optional["Matrix"]:
@@ -524,12 +523,7 @@ class Matrix:
 
 
 def as_vector(field: FieldSpec, data) -> np.ndarray:
-    if isinstance(data, np.ndarray) and data.ndim == 1:
-        return field.normalize(data)
-    v = field.asarray(list(data))
-    if v.ndim != 1:
-        raise ValueError("expected a vector")
-    return v
+    return field.normalize(_vector(data))
 
 
 def basis_vector(field: FieldSpec, n: int, i: int) -> np.ndarray:
@@ -627,28 +621,6 @@ def _q_lowest(N: np.ndarray, den: int) -> tuple[np.ndarray, int, int]:
     bound = max(map(abs, flat), default=0)
     return np.array(flat, dtype=np.int64 if bound < (1 << 63) else object).reshape(N.shape), \
         den, bound
-
-
-def _q_combine(terms) -> np.ndarray:
-    """``sum(s * N)`` over the ``(N, max|N|, s)`` of ``terms``, s Python ints:
-    in int64 while ``sum(|s| * max(max|N|, 1)) < 2^62`` bounds every entry
-    and scale factor, in Python ints otherwise."""
-    fits = all(N.dtype == np.int64 for N, _, _ in terms) and \
-        sum(abs(s) * max(bound, 1) for _, bound, s in terms) < _INT64_PRODUCT_LIMIT
-    out = 0
-    for N, _, s in terms:
-        out = out + (N if fits else N.astype(object)) * s
-    return out
-
-
-def _q_product(op, x: tuple, y: tuple, k: int) -> tuple[np.ndarray, int]:
-    """``op(N_x, N_y)`` and its denominator, for integer forms x and y and a
-    bilinear op whose output entries sum at most k products each (matmul:
-    the inner dimension; kron: 1)."""
-    (na, da, ma), (nb, db, mb) = x, y
-    if na.dtype == nb.dtype == np.int64 and ma * mb * k < _INT64_PRODUCT_LIMIT:
-        return op(na, nb), da * db
-    return op(na.astype(object), nb.astype(object)), da * db
 
 
 def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -5,6 +5,7 @@ The referee tests at the end check every field's kernel on random matrices
 against sympy (rref over QQ and GF(p)) and against naive Fraction loops
 (products), and check nullspace, solve_matrix and inverse by substitution."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -324,9 +325,8 @@ _any_q = st.one_of(_small_q, _small_q, _huge_q, _edge_q)
 
 
 def _assert_integer_form(m):
-    """m caches an integer form, and it is the one computed afresh from m.a."""
-    assert m._q is not None
-    N, den, bound = m._q
+    """m's integer form is the one computed afresh from m.a."""
+    N, den, bound = m.N, m.den, m.bound
     fresh_N, fresh_den, fresh_bound = _q_split(m.a)
     assert (den, bound) == (fresh_den, fresh_bound)
     assert N.dtype == fresh_N.dtype and N.tolist() == fresh_N.tolist()
@@ -387,7 +387,7 @@ def test_q_zero_results_over_denominators_past_int64():
     A = Matrix(QQ, [[0, Fraction(1, 3**40)]])
     B = Matrix(QQ, [[Fraction(1, 2**70)], [0]])
     for got in (A @ B, A - A, A.scale(0), A.kron(Matrix(QQ, [[0]]))):
-        assert got.is_zero() and got._q[1] == 1
+        assert got.is_zero() and got.den == 1
         _assert_integer_form(got)
 
 
@@ -500,6 +500,10 @@ def test_check_coring_over_q_builds_no_fraction_array(monkeypatch):
     real = fields._q_from_ints
     monkeypatch.setattr(fields, "_q_from_ints", lambda N, den: built.append(N.shape) or real(N, den))
     assert check_coring(C).ok
+    # comparison, hashing and support read the integer form only
+    D, E = C.delta.kron(Matrix.eye(QQ, 1)), C.delta.scale(Fraction(1, 3)).scale(3)
+    assert D == E and hash(D) == hash(E)
+    assert D.support().any() and not D.is_zero() and (D - E).is_zero()
     assert built == []
 
 
@@ -627,6 +631,86 @@ def test_large_prime_products_from_int64_arrays_do_not_overflow():
         assert A.a.dtype == B.a.dtype == object
         assert (A @ B).a.tolist() == want
         assert (A @ np.full(4, p - 1, dtype=np.int64)).tolist() == want[0]
+
+
+# -- F_p arithmetic and input ------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5, (1 << 31) - 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fp_arithmetic_matches_integer_loops(p, data):
+    """+ - negation scale kron == support is_zero over F_p against integer
+    loops mod p, each result holding residues in [0, p) of the field's
+    dtype.  Both sides of "reduce only when the bound reaches p" run: a
+    kron over F_2 (bound 1) and scales by 0 and 1 are left unreduced, sums
+    (bound 2(p - 1)) and differences are reduced."""
+    f = GF(p)
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+    a, b = data.draw(_rows(entries, m, n)), data.draw(_rows(entries, m, n))
+    c = data.draw(_matrices(entries, max_rows=3, max_cols=3))
+    k = data.draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-2 * p, 2 * p)))
+    A, B = Matrix(f, a), Matrix(f, b)
+
+    def entrywise(op, x, y):
+        return [[op(u, v) % p for u, v in zip(r, s)] for r, s in zip(x, y)]
+
+    expect = {
+        "sum": (A + B, entrywise(operator.add, a, b)),
+        "difference": (A - B, entrywise(operator.sub, a, b)),
+        "self difference": (A - A, [[0] * n for _ in range(m)]),
+        "negation": (-A, entrywise(lambda u, _: -u, a, a)),
+        "scale": (A.scale(k), entrywise(lambda u, _: k * u, a, a)),
+        "kron": (A.kron(Matrix(f, c)), [[x % p for x in r] for r in _naive_kron(a, c)]),
+    }
+    for name, (got, want) in expect.items():
+        assert got.a.dtype == f.dtype and got.N is got.a and got.den == 1, name
+        assert got.a.tolist() == want, name
+        assert all(type(x) is int and 0 <= x < p for r in got.a.tolist() for x in r), name
+    assert (A == B) == (a == b)
+    assert A == Matrix(f, np.array(a, dtype=np.int64)) and A - B + B == A
+    assert (A == A.T) == (m == n and a == [list(r) for r in zip(*a)])
+    assert (A - B).is_zero() == (a == b)
+    assert (A - B).support().tolist() == [[x != y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def test_fp_input_keeps_exact_residues():
+    # narrow integer arrays are widened to the field's dtype before their
+    # products: 40 * 2 * 2 = 160 overflows int8, 300 * 2 * 2 = 1200 uint8
+    for dtype, k, want in ((np.int8, 40, 160 % 3), (np.uint8, 300, 1200 % 3)):
+        row = Matrix(F3, np.full((1, k), 2, dtype=dtype))
+        assert row.a.dtype == np.int64
+        assert (row @ row.T).a.tolist() == [[want]]
+    # integral floats and integers past int64 are exact residues
+    assert Matrix(F3, np.array([[2.0, -4.0]])).a.tolist() == [[2, 2]]
+    assert Matrix(F3, [[2**70, 2**63 + 1, -1]]).a.tolist() == [[1, 0, 2]]
+    # anything that is not an integer is refused, not truncated or stored
+    for bad in (np.array([[1.5, 2.0]]), [[1.5]], [[Fraction(1, 2)]], [["1/2"]],
+                np.array([[np.inf]]), [[float("nan")]]):
+        with pytest.raises(ValueError):
+            Matrix(F3, bad)
+    with pytest.raises(ValueError):
+        Matrix.column(F3, [1, 0.5])
+
+
+def test_equal_matrices_hash_equal():
+    big = 2**64 + 5  # numerators past 2^63 live in object arrays
+    lazy = Matrix(QQ, [[1, Fraction(1, 2)], [big, 0]]) @ Matrix.eye(QQ, 2)
+    read = Matrix(QQ, [[1, Fraction(1, 2)], [big, 0]]) @ Matrix.eye(QQ, 2)
+    read.a
+    pairs = [
+        (Matrix(QQ, [[1, 2]]), Matrix(QQ, [[2, 4]]).scale(Fraction(1, 2))),
+        (Matrix(QQ, [[big, 3]]), Matrix(QQ, [[Fraction(big, 3), 1]]).scale(3)),
+        (Matrix(QQ, [[big - 2**64, 3]]), Matrix(QQ, [[big, 3]]) - Matrix(QQ, [[2**64, 0]])),
+        (lazy, read),
+        (Matrix(GF(2**31 - 1), [[1, 2**31 - 2]]),
+         Matrix(GF(2**31 - 1), np.array([[1, -1]], dtype=np.int64))),
+        (Matrix(F3, [[1, 2]]), Matrix(F3, np.array([[4, -1]], dtype=np.int8))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert Matrix(QQ, [[5, 3]]).N.dtype == np.int64 and Matrix(QQ, [[big, 3]]).N.dtype == object
+    assert not _filled(lazy) and len({lazy, read}) == 1
 
 
 # -- the row builders for linear conditions on an unknown matrix ------------

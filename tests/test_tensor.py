@@ -173,9 +173,10 @@ def chain_oracle(factors):
     n, q = project.ncols, project.nrows
     _, pivots = relations.rref()
     free = [j for j in range(n) if j not in set(pivots)]
-    section = Matrix.zeros(field, n, q)
+    section = field.zeros((n, q))
     for idx, j in enumerate(free):
-        section.a[j, idx] = field.scalar(1)
+        section[j, idx] = field.scalar(1)
+    section = Matrix(field, section)
     rest, head = int(np.prod(dims[1:])), int(np.prod(dims[:-1]))
     lact = [project @ L.kron(Matrix.eye(field, rest)) @ section for L in factors[0].left_action]
     ract = [project @ Matrix.eye(field, head).kron(R) @ section for R in factors[-1].right_action]
