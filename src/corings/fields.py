@@ -15,7 +15,8 @@ positive denominator ``den``, with a ``bound`` on |N|.
   common denominator of the reduced entries, which is canonical, and the
   bound is max|N|.  N is int64 when the bound is below 2^63 and Python
   ints otherwise.  The Fraction array ``a``, one Fraction per distinct
-  value, is built when something first reads it and is kept from then on.
+  value, is built when something first reads it and is kept from then on,
+  read-only: a write into it could not reach N.
 
 Comparison, hashing, stacking, selection and arithmetic read only the
 integer form, in one code path for both fields: ``==`` compares
@@ -29,7 +30,9 @@ Over Q it brings N / den to lowest terms.
 
 Integer steps run where a bound proves them exact.  A product whose
 entries sum k products each has bound ``k * max|a| * max|b|``, and a sum
-the sum of its scaled bounds.
+the sum of its scaled bounds.  An operand's bound counts as at least 1
+there, so that it also bounds the factor that scales it: a zero matrix
+scaled past 2^62 is scaled in Python ints.
 
 - Below 2^53, a product of 4096 or more multiply-adds runs on float64
   BLAS: every partial sum is an exact integer, whatever the summation
@@ -247,36 +250,39 @@ class Matrix:
         if a.ndim != 2:
             raise ValueError(f"matrix data must be 2-d, got shape {a.shape}")
         self.field, self.a = field, a
-        self.N, self.den, self.bound = _q_split(a) if field.kind == "Q" else (a, 1, field.p - 1)
+        if field.kind == "Fp":
+            self.N, self.den, self.bound = a, 1, field.p - 1
+        else:  # N / den is the matrix, so a write into ``a`` must raise
+            self.N, self.den, self.bound = _q_split(a)
+            a.setflags(write=False)
 
     def __getattr__(self, name):
         # reached only when a slot is empty: an F_p matrix's ``a`` is N, so
         # this runs for a Q matrix whose ``a`` was never read; it is
-        # read-only where N is (the shared identities)
+        # read-only, as a write into it would not reach N
         if name != "a":
             raise AttributeError(name)
-        N = self.N
-        self.a = a = _q_from_ints(N, self.den)
-        a.setflags(write=N.flags.writeable)
+        self.a = a = _q_from_ints(self.N, self.den)
+        a.setflags(write=False)
         return a
 
     @staticmethod
     def _from_ints(field: FieldSpec, N: np.ndarray, den: int = 1,
                    bound: Optional[int] = None) -> "Matrix":
         """The matrix N / den, for an integer array N with |N| <= bound
-        (None: not known).  Over F_p (den 1) N is reduced mod p, into the
-        field's dtype, unless bound < p.  Only nonnegative results skip the
+        (None: not known).  Over F_p (den 1) N, of the field's dtype, is
+        reduced mod p unless bound < p.  Only nonnegative results skip the
         reduction: every F_p matrix has bound p - 1, so a difference, the
         one step that makes negative entries, has bound 2(p - 1) >= p.
         Over Q N / den is brought to lowest terms."""
-        m = Matrix.__new__(Matrix)
+        m = object.__new__(Matrix)
         m.field = field
         if field.kind == "Q":
             m.N, m.den, m.bound = _q_lowest(N, den)
             return m
         p = field.p
         if bound is None or bound >= p:
-            N = (N % p).astype(field.dtype, copy=False)
+            N = N % p
         m.a = m.N = N
         m.den, m.bound = 1, p - 1
         return m
@@ -318,7 +324,7 @@ class Matrix:
         places entries, over the lcm of their denominators, which keeps
         lowest terms."""
         den = math.lcm(*[m.den for m in mats])
-        bound = max([m.bound * (den // m.den) for m in mats])
+        bound = max([(m.bound or 1) * (den // m.den) for m in mats])
         dtype = np.int64 if bound < (1 << 63) else object
         N = join([m.N if m.den == den else m.N.astype(dtype) * (den // m.den) for m in mats])
         return Matrix._from_ints(mats[0].field, N, den, bound)
@@ -390,18 +396,15 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def _plus(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, on numerators over the lcm of the two
-        denominators."""
+        """self + sign * other, on numerators scaled by sa and sb to the lcm
+        of the two denominators."""
         na, nb, da, db = self.N, other.N, self.den, other.den
-        if da == db:
-            den, bound = da, self.bound + other.bound
-        else:
-            den = math.lcm(da, db)
-            bound = self.bound * (den // da) + other.bound * (den // db)
+        den = da if da == db else math.lcm(da, db)
+        sa, sb = den // da, den // db
+        bound = (self.bound or 1) * sa + (other.bound or 1) * sb
         if bound >= _INT64_LIMIT:
             na, nb = na.astype(object), nb.astype(object)
-        if da != db:
-            na, nb = na * (den // da), nb * (den // db)
+        na, nb = (na if sa == 1 else na * sa), (nb if sb == 1 else nb * sb)
         return Matrix._from_ints(self.field, na + nb if sign > 0 else na - nb, den, bound)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -415,7 +418,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
-        bound = self.bound * abs(c.numerator)
+        bound = (self.bound or 1) * abs(c.numerator)
         N = self.N if bound < _INT64_LIMIT else self.N.astype(object)
         return Matrix._from_ints(self.field, N * c.numerator, self.den * c.denominator, bound)
 
@@ -435,11 +438,11 @@ class Matrix:
             81 x 729 x 81     5.8 ms    0.86 ms
         """
         na, nb = self.N, other.N
-        bound = self.bound * other.bound * k
+        bound = (self.bound or 1) * (other.bound or 1) * k
         if bound >= _INT64_LIMIT:
             N = op(na.astype(object), nb.astype(object))
-        elif bound < _FLOAT64_LIMIT and op is np.matmul and na.shape[0] * nb.size >= 4096:
-            N = (na.astype(np.float64) @ nb.astype(np.float64)).astype(np.int64)
+        elif len(na) * nb.size >= 4096 and op is np.matmul and bound < _FLOAT64_LIMIT:
+            N = (na.astype(np.float64) @ nb.astype(np.float64)).astype(np.int64).astype(na.dtype)
         else:
             N = op(na, nb)
         return Matrix._from_ints(self.field, N, self.den * other.den, bound)
@@ -447,9 +450,9 @@ class Matrix:
     def __matmul__(self, other):
         """Product with a Matrix (a Matrix) or a vector (a reduced array)."""
         if isinstance(other, Matrix):
-            return self._product(np.matmul, other, self.N.shape[1])
+            return self._product(np.matmul, other, len(other.N))
         col = Matrix.column(self.field, other)
-        return self._product(np.matmul, col, self.N.shape[1]).a.reshape(-1)
+        return self._product(np.matmul, col, len(col.N)).a.reshape(-1)
 
     def kron(self, other: "Matrix") -> "Matrix":
         return self._product(_fast_kron, other, 1)

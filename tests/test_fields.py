@@ -389,6 +389,30 @@ def test_q_zero_results_over_denominators_past_int64():
     for got in (A @ B, A - A, A.scale(0), A.kron(Matrix(QQ, [[0]]))):
         assert got.is_zero() and got.den == 1
         _assert_integer_form(got)
+    # a zero operand (bound 0) scaled to a denominator past 2^63, or met by
+    # numerators past float64's range in a product large enough for BLAS
+    Z, tiny = Matrix.zeros(QQ, 1, 1), Matrix(QQ, [[Fraction(1, 2**70)]])
+    cases = [(Z + tiny, [[Fraction(1, 2**70)]]), (Z - tiny, [[Fraction(-1, 2**70)]]),
+             (Matrix.vstack([Z, tiny]), [[0], [Fraction(1, 2**70)]]),
+             (Z.scale(Fraction(2**70)), [[0]]),
+             (Matrix(QQ, [[2**1100] * 64] * 64) @ Matrix.zeros(QQ, 64, 64), [[0] * 64] * 64)]
+    for got, want in cases:
+        assert got.a.tolist() == want
+        _assert_integer_form(got)
+
+
+def test_q_array_is_read_only():
+    """Over Q the matrix is its integer form N / den, so a write into the
+    Fraction array ``a`` could not reach it: it raises instead.  Over F_p
+    ``a`` is N, and a write takes effect."""
+    for m in (Matrix(QQ, [[0, 0]]), Matrix.zeros(QQ, 1, 2),
+              Matrix(QQ, [[1, 2]]) - Matrix(QQ, [[1, 2]]), Matrix.eye(QQ, 2)):
+        with pytest.raises(ValueError):
+            m.a[0, 0] = 1
+        assert m.a[0, 0] == (m == Matrix.eye(QQ, 2))
+    m = Matrix.zeros(F3, 1, 2)
+    m.a[0, 0] = 1
+    assert not m.is_zero() and m == Matrix(F3, [[1, 0]])
 
 
 def _fraction_rref(rows):
@@ -615,6 +639,21 @@ def test_fp_product_past_the_float64_bound_stays_exact():
     B = Matrix(f, np.full((k, 1), p - 1, dtype=np.int64))
     assert (A @ B).a.tolist() == [[k * (p - 1) ** 2 % p]]
     assert (A @ np.full(k, p - 1, dtype=np.int64)).tolist() == [k * (p - 1) ** 2 % p]
+
+
+def test_fp_blas_product_past_2_20_keeps_python_int_residues():
+    # p = 1048583, the smallest prime past 2^20, keeps Python-int residues;
+    # a 16 x 16 x 16 product (4096 multiply-adds, 16 (p-1)^2 < 2^53) runs on
+    # float64 BLAS and must come back as Python ints, not int64 or floats
+    p = 1048583
+    f = GF(p)
+    a = [[(p - 1 - 7 * i - j) % p for j in range(16)] for i in range(16)]
+    A = Matrix(f, a)
+    want = [[sum(a[i][t] * a[t][j] for t in range(16)) % p for j in range(16)] for i in range(16)]
+    for got in ((A @ A).a, A @ a[0]):
+        assert got.dtype == object and all(type(x) is int for x in got.reshape(-1).tolist())
+    assert (A @ A).a.tolist() == want
+    assert (A @ a[0]).tolist() == [sum(a[i][t] * a[0][t] for t in range(16)) % p for i in range(16)]
 
 
 def test_large_prime_products_from_int64_arrays_do_not_overflow():
