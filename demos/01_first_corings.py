@@ -43,8 +43,7 @@ print()
 eps_bad = mc2.epsilon.copy()
 eps_bad.a.setflags(write=True)
 eps_bad.a[0, 1] = 1  # eps(e_12) := 1
-broken = Coring(mc2.base, mc2.bimodule, mc2.delta, eps_bad, square=mc2.square,
-                name="broken matrix coring")
+broken = Coring(mc2.base, mc2.bimodule, mc2.delta, eps_bad, name="broken matrix coring")
 report = check_coring(broken)
 print("after setting eps(e_12) = 1:")
 for check in report.failures():

@@ -231,6 +231,7 @@ class Bimodule:
         for M in (*self.left_action, *self.right_action):
             if M.shape != (dim, dim):
                 raise ValueError("action matrix shape mismatch")
+        self.powers: dict = {}  # r -> r-th tensor power, kept by tensor.tensor_chain
 
     @cached_property
     def left_stack(self) -> Matrix:

@@ -43,17 +43,10 @@ class Comodule:
         if rho.shape != (self.mc.dim, module.dim):
             raise ValueError(f"coaction must map M -> M(x)_AC coordinates, got {rho.shape}")
         self.rho = rho
-        self._mcc: Optional[TensorQuotient] = None
 
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    @property
-    def mcc(self) -> TensorQuotient:
-        if self._mcc is None:
-            self._mcc = tensor_chain([self.module, self.coring.bimodule, self.coring.bimodule])
-        return self._mcc
 
     def rho_ambient(self) -> Matrix:
         return self.mc.section @ self.rho
@@ -73,17 +66,10 @@ class LeftComodule:
         if lam.shape != (self.cm.dim, module.dim):
             raise ValueError(f"coaction must map M -> C(x)M coordinates, got {lam.shape}")
         self.lam = lam
-        self._ccm: Optional[TensorQuotient] = None
 
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    @property
-    def ccm(self) -> TensorQuotient:
-        if self._ccm is None:
-            self._ccm = tensor_chain([self.coring.bimodule, self.coring.bimodule, self.module])
-        return self._ccm
 
     def lam_ambient(self) -> Matrix:
         return self.cm.section @ self.lam
@@ -103,9 +89,10 @@ def check_comodule(M: Comodule) -> Report:
                           for a in range(alg.dim)))
     Im = Matrix.eye(f, M.dim)
     Ic = Matrix.eye(f, C.dim)
+    mcc = tensor_chain([M.module, C.bimodule, C.bimodule])
     try:
-        rho_c = M.mc.induce(M.rho_ambient().kron(Ic), M.mcc)
-        m_delta = M.mc.induce(Im.kron(C.delta_ambient), M.mcc)
+        rho_c = M.mc.induce(M.rho_ambient().kron(Ic), mcc)
+        m_delta = M.mc.induce(Im.kron(C.delta_ambient), mcc)
         rb.add("coassociativity", rho_c @ M.rho == m_delta @ M.rho)
     except BalancednessError:
         rb.add("coassociativity", False, "ambient coaction is unbalanced")
@@ -129,9 +116,10 @@ def check_left_comodule(M: LeftComodule) -> Report:
         rb.add_all(name, ((f"{letter}-basis {alg.name_of(a)}", M.lam @ acts[a] == images[a] @ M.lam)
                           for a in range(alg.dim)))
     Im = Matrix.eye(f, M.dim)
+    ccm = tensor_chain([C.bimodule, C.bimodule, M.module])
     try:
-        c_lam = M.cm.induce(Matrix.eye(f, C.dim).kron(M.lam_ambient()), M.ccm)
-        delta_m = M.cm.induce(C.delta_ambient.kron(Im), M.ccm)
+        c_lam = M.cm.induce(Matrix.eye(f, C.dim).kron(M.lam_ambient()), ccm)
+        delta_m = M.cm.induce(C.delta_ambient.kron(Im), ccm)
         rb.add("coassociativity", c_lam @ M.lam == delta_m @ M.lam)
     except BalancednessError:
         rb.add("coassociativity", False, "ambient coaction is unbalanced")
@@ -372,27 +360,31 @@ def bicomodule_iso_exists(M: Bicomodule, N: Bicomodule,
     return IsoSearchResult(UNDECIDED)
 
 
-def twisted_bicomodule(f: CoringMorphism, validate: bool = True) -> Bicomodule:
+def twisted_bicomodule(f: CoringMorphism) -> Bicomodule:
     """The (D, C)-bicomodule carried by C itself, twisted along an
-    isomorphism f = (phi, rho): C -> D.
+    isomorphism f = (phi, rho): C -> D, and validated.
 
     Left B-action b.c = rho^{-1}(b).c, right A-action and right coaction are
     the regular ones, and the left D-coaction sends c to phi(c_1) (x) c_2.
+    When rho is the identity of one base, the carrier is C's own bimodule,
+    so every quotient read here and in the checks is a power of it.
     """
     if not f.is_isomorphism():
         raise InvalidStructureError("twisting requires an isomorphism of corings")
     C, D = f.source, f.target
     k = C.field
-    rho_inv = f.rho.inverse().matrix
-    lact = unstack(C.bimodule.left_stack @ rho_inv, (C.dim, C.dim))
-    module = Bimodule(D.base, C.base, C.dim, lact, list(C.bimodule.right_action))
+    if D.base is C.base and f.rho.matrix == Matrix.eye(k, C.base.dim):
+        module = C.bimodule
+    else:
+        rho_inv = f.rho.inverse().matrix
+        lact = unstack(C.bimodule.left_stack @ rho_inv, (C.dim, C.dim))
+        module = Bimodule(D.base, C.base, C.dim, lact, list(C.bimodule.right_action))
     t_mc = tensor_over(module, C.bimodule)
     rho = t_mc.project @ C.delta_ambient
     t_dm = tensor_over(D.bimodule, module)
     lam = t_dm.project @ (f.phi.kron(Matrix.eye(k, C.dim)) @ C.delta_ambient)
     out = Bicomodule(D, C, module, lam, rho)
-    if validate:
-        rep = check_bicomodule(out)
-        if not rep.ok:
-            raise InvalidStructureError("twisted bicomodule failed validation", rep)
+    rep = check_bicomodule(out)
+    if not rep.ok:
+        raise InvalidStructureError("twisted bicomodule failed validation", rep)
     return out

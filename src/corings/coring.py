@@ -20,13 +20,15 @@ from .tensor import TensorQuotient, tensor_chain, tensor_over
 class Coring:
     """An A-coring: (A,A)-bimodule with Delta: C -> C (x)_A C and eps: C -> A.
 
-    ``delta`` is a matrix into the coordinates of the cached quotient
-    ``square``; ``epsilon`` maps into A-coordinates.  Construction checks
-    shapes only; use :func:`check_coring` for the axioms.
+    ``delta`` is a matrix into the coordinates of ``square``; ``square`` and
+    ``cube`` are the second and third tensor powers that the carrier holds
+    (:func:`corings.tensor.tensor_chain`), shared by everything built on it.
+    ``epsilon`` maps into A-coordinates.  Construction checks shapes only;
+    use :func:`check_coring` for the axioms.
     """
 
     def __init__(self, base: Algebra, bimodule: Bimodule, delta: Matrix, epsilon: Matrix,
-                 square: Optional[TensorQuotient] = None, name: str = "coring"):
+                 name: str = "coring"):
         self.base = base
         self.bimodule = bimodule
         self.field = base.field
@@ -34,21 +36,18 @@ class Coring:
         self.name = name
         if bimodule.left_algebra is not base or bimodule.right_algebra is not base:
             raise ValueError("carrier must be a bimodule over the base algebra on both sides")
-        self.square = square if square is not None else tensor_over(bimodule, bimodule)
+        self.square = tensor_over(bimodule, bimodule)
         if delta.shape != (self.square.dim, self.dim):
             raise ValueError(f"delta must map C -> C(x)_AC coordinates, got {delta.shape}")
         if epsilon.shape != (base.dim, self.dim):
             raise ValueError(f"epsilon must map C -> A, got {epsilon.shape}")
         self.delta = delta
         self.epsilon = epsilon
-        self._cube: Optional[TensorQuotient] = None
         self._cache: dict = {}
 
     @property
     def cube(self) -> TensorQuotient:
-        if self._cube is None:
-            self._cube = tensor_chain([self.bimodule, self.bimodule, self.bimodule])
-        return self._cube
+        return tensor_chain([self.bimodule] * 3)
 
     @property
     def delta_ambient(self) -> Matrix:
@@ -161,13 +160,12 @@ def check_coring_morphism(m: CoringMorphism) -> Report:
     return rb.build()
 
 
-def compose_morphisms(g: CoringMorphism, f: CoringMorphism, validate: bool = True) -> CoringMorphism:
-    """g after f, with validity re-verified by default."""
+def compose_morphisms(g: CoringMorphism, f: CoringMorphism) -> CoringMorphism:
+    """g after f, with its validity re-verified."""
     out = g.compose(f)
-    if validate:
-        rep = out.validate()
-        if not rep.ok:
-            raise ValueError(f"composite morphism is invalid:\n{rep}")
+    rep = out.validate()
+    if not rep.ok:
+        raise ValueError(f"composite morphism is invalid:\n{rep}")
     return out
 
 

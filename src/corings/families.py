@@ -32,11 +32,10 @@ from .tensor import tensor_over
 def trivial_coring(A: Algebra, name: Optional[str] = None) -> Coring:
     """A itself as an A-coring; Delta inverts the unit isomorphism."""
     bim = regular_bimodule(A)
-    sq = tensor_over(bim, bim)
     unitcol = Matrix.column(A.field, A.unit)
-    delta = sq.project @ Matrix.eye(A.field, A.dim).kron(unitcol)
+    delta = tensor_over(bim, bim).project @ Matrix.eye(A.field, A.dim).kron(unitcol)
     eps = Matrix.eye(A.field, A.dim)
-    return Coring(A, bim, delta, eps, square=sq, name=name or "trivial")
+    return Coring(A, bim, delta, eps, name=name or "trivial")
 
 
 def matrix_coring(A: Algebra, n: int, name: Optional[str] = None) -> Coring:
@@ -50,7 +49,6 @@ def matrix_coring(A: Algebra, n: int, name: Optional[str] = None) -> Coring:
     lact = [In2.kron(A.basis_left_mult(i)) for i in range(A.dim)]
     ract = [In2.kron(A.basis_right_mult(i)) for i in range(A.dim)]
     bim = Bimodule(A, A, d, lact, ract)
-    sq = tensor_over(bim, bim)
     amb = f.zeros((d * d, d))
     unit = A.unit
     one = f.scalar(1)
@@ -66,12 +64,12 @@ def matrix_coring(A: Algebra, n: int, name: Optional[str] = None) -> Coring:
                             continue
                         right = (k * n + j) * A.dim + s
                         amb[left * d + right, col] = amb[left * d + right, col] + unit[s]
-    delta = sq.project @ Matrix(f, amb)
+    delta = tensor_over(bim, bim).project @ Matrix(f, amb)
     eps = f.zeros((A.dim, d))
     for i in range(n):
         for t in range(A.dim):
             eps[t, (i * n + i) * A.dim + t] = one
-    return Coring(A, bim, delta, Matrix(f, eps), square=sq, name=name or f"matrix-coring({n})")
+    return Coring(A, bim, delta, Matrix(f, eps), name=name or f"matrix-coring({n})")
 
 
 def grouplike_coalgebra(size_or_labels, field: FieldSpec, name: Optional[str] = None) -> Coring:
@@ -86,17 +84,15 @@ def grouplike_coalgebra(size_or_labels, field: FieldSpec, name: Optional[str] = 
     k = scalar_algebra(field)
     I = Matrix.eye(field, d)
     bim = Bimodule(k, k, d, [I], [I])
-    sq = tensor_over(bim, bim)
     one = field.scalar(1)
     amb = field.zeros((d * d, d))
     for s in range(d):
         amb[s * d + s, s] = one
-    delta = sq.project @ Matrix(field, amb)
+    delta = tensor_over(bim, bim).project @ Matrix(field, amb)
     eps = field.zeros((1, d))
     for s in range(d):
         eps[0, s] = one
-    return Coring(k, bim, delta, Matrix(field, eps), square=sq,
-                  name=name or f"grouplike({','.join(labels)})")
+    return Coring(k, bim, delta, Matrix(field, eps), name=name or f"grouplike({','.join(labels)})")
 
 
 # -- entwining structures ----------------------------------------------------
@@ -166,11 +162,9 @@ def coring_from_entwining(E: EntwiningStructure,
     lact = [A.basis_left_mult(b).kron(IC) for b in range(dA)]
     ract = [A.mu.kron(IC) @ IA.kron(E.psi_partial(b)) for b in range(dA)]
     bim = Bimodule(A, A, d, lact, ract)
-    sq = tensor_over(bim, bim)
-    delta = sq.project @ entwined_delta_ambient(E)
+    delta = tensor_over(bim, bim).project @ entwined_delta_ambient(E)
     eps = IA.kron(C.epsilon)
-    out = Coring(A, bim, delta, eps, square=sq,
-                 name=name or "entwined(A(x)C)")
+    out = Coring(A, bim, delta, eps, name=name or "entwined(A(x)C)")
     return out, check_coring(out)
 
 

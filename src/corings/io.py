@@ -152,10 +152,9 @@ def coring_from_payload(f: FieldSpec, payload, name: str = "coring") -> Coring:
     lact = _actions_from_json(f, _get(payload, "left_action"), base.dim, d, "left_action")
     ract = _actions_from_json(f, _get(payload, "right_action"), base.dim, d, "right_action")
     bim = Bimodule(base, base, d, lact, ract)
-    sq = tensor_over(bim, bim)
     damb = _matrix_from_json(f, _get(payload, "delta_ambient"), d * d, d, "delta_ambient")
     eps = _matrix_from_json(f, _get(payload, "epsilon"), base.dim, d, "epsilon")
-    return Coring(base, bim, sq.project @ damb, eps, square=sq, name=name)
+    return Coring(base, bim, tensor_over(bim, bim).project @ damb, eps, name=name)
 
 
 def comodule_to_payload(M: Comodule) -> dict:
@@ -194,8 +193,7 @@ def coalgebra_from_payload(f: FieldSpec, obj) -> Coring:
     shell = grouplike_coalgebra(d, f)  # carrier scaffold over k; maps replaced
     damb = _matrix_from_json(f, _get(obj, "delta"), d * d, d, "coalgebra delta")
     eps = _matrix_from_json(f, _get(obj, "epsilon"), 1, d, "coalgebra epsilon")
-    return Coring(shell.base, shell.bimodule, shell.square.project @ damb, eps,
-                  square=shell.square, name="coalgebra")
+    return Coring(shell.base, shell.bimodule, shell.square.project @ damb, eps, name="coalgebra")
 
 
 def entwining_from_payload(f: FieldSpec, payload) -> EntwiningStructure:

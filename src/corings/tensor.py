@@ -12,6 +12,11 @@ first checks that it kills every balancing relation.
 Chains of three or more factors are bracketed to the left, one pair at a
 time on the (previous quotient) x (next factor) ambient; see
 :class:`TensorQuotient`.
+
+:func:`tensor_chain`, which :func:`tensor_over` calls, owns tensor powers:
+the r-th power of a bimodule M is built on first request and kept in
+``M.powers``, so a coring's square and cube, and the head of each chain
+C (x) C (x) M, are built once per carrier.  Other chains are built afresh.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ class TensorQuotient:
     """Quotient of M_1 (x)_k ... (x)_k M_r by adjacent balancing relations.
 
     Three or more factors are bracketed to the left: ``head =
-    TensorQuotient(factors[:-1])``, then only the relations of
-    ``(head.module, factors[-1])`` are eliminated, on the ``head.dim *
+    tensor_chain(factors[:-1])`` (a cube's head is the cached square), then
+    only the relations of ``(head.module, factors[-1])`` are eliminated, on the ``head.dim *
     d_last`` ambient, giving ``project = P_last @ (P_head (x) I)`` and
     ``section = (S_head (x) I) @ S_last`` (no products when the head has no
     relations, as over a base field k).  When the middle factors' actions
@@ -44,8 +49,13 @@ class TensorQuotient:
     ``(S_head (x) I) w``, w a relation of the last step leading at the
     matching column; and every such lift is a relation.
 
+    A quotient keeps of its factors only what :attr:`module` reads: the
+    outer algebras, their action lists and the factor dimensions.  Keeping
+    the factors would make a cached power point back at its owner (M ->
+    M.powers -> power -> M), a reference cycle that keeps every carrier
+    alive until the garbage collector runs.
+
     Attributes:
-        factors: the bimodules, with matching inner algebras.
         ambient_dim: product of factor dimensions.
         dim: dimension of the quotient.
         project: (dim x ambient_dim) quotient map.
@@ -58,7 +68,6 @@ class TensorQuotient:
     def __init__(self, factors: Sequence[Bimodule], column_order: Optional[Sequence[int]] = None):
         if not factors:
             raise ValueError("need at least one factor")
-        self.factors = list(factors)
         field = factors[0].field
         self.field = field
         for P, Q in zip(factors, factors[1:]):
@@ -71,7 +80,7 @@ class TensorQuotient:
         if len(factors) > 2:
             if column_order is not None:
                 raise ValueError("column_order permutes a two-factor ambient only")
-            head = TensorQuotient(factors[:-1])
+            head = tensor_chain(factors[:-1])
             last = TensorQuotient([head.module, factors[-1]])
             self.relations, self.dim = last.relations, last.dim
             self.project, self.section = last.project, last.section
@@ -82,6 +91,9 @@ class TensorQuotient:
             self._last = last
             return
         self._last = None
+        first, end = factors[0], factors[-1]
+        self._outer = (first.left_algebra, first.left_action,
+                       end.right_algebra, end.right_action, [m.dim for m in factors])
 
         rel_blocks = []
         for M, N in zip(factors, factors[1:]):
@@ -116,16 +128,11 @@ class TensorQuotient:
         if self._last is not None:
             return self._last.module
         if self._module is None:
-            field = self.field
-            dims = [m.dim for m in self.factors]
-            left_alg = self.factors[0].left_algebra
-            right_alg = self.factors[-1].right_algebra
-            rest, head = int(np.prod(dims[1:])), int(np.prod(dims[:-1]))
-            Ir, Ih = Matrix.eye(field, rest), Matrix.eye(field, head)
-            lact = [self.project @ self.factors[0].left_action[i].kron(Ir) @ self.section
-                    for i in range(left_alg.dim)]
-            ract = [self.project @ Ih.kron(self.factors[-1].right_action[i]) @ self.section
-                    for i in range(right_alg.dim)]
+            left_alg, left, right_alg, right, dims = self._outer
+            Ir = Matrix.eye(self.field, int(np.prod(dims[1:])))
+            Ih = Matrix.eye(self.field, int(np.prod(dims[:-1])))
+            lact = [self.project @ L.kron(Ir) @ self.section for L in left]
+            ract = [self.project @ Ih.kron(R) @ self.section for R in right]
             self._module = Bimodule(left_alg, right_alg, self.dim, lact, ract)
         return self._module
 
@@ -172,8 +179,15 @@ class TensorQuotient:
 
 def tensor_over(M: Bimodule, N: Bimodule) -> TensorQuotient:
     """M (x)_A N with its induced (left(M), right(N))-bimodule structure."""
-    return TensorQuotient([M, N])
+    return tensor_chain([M, N])
 
 
 def tensor_chain(factors: Sequence[Bimodule]) -> TensorQuotient:
-    return TensorQuotient(factors)
+    """M_1 (x)_A ... (x)_A M_r.  When every factor is one bimodule M, this
+    is M's r-th power, kept in ``M.powers`` from its first request on."""
+    if not factors or any(M is not factors[0] for M in factors):
+        return TensorQuotient(factors)
+    powers, r = factors[0].powers, len(factors)
+    if r not in powers:
+        powers[r] = TensorQuotient(factors)
+    return powers[r]

@@ -52,7 +52,7 @@ def test_broken_counit_names_witness():
     eps_bad = C.epsilon.copy()
     eps_bad.a.setflags(write=True)
     eps_bad.a[0, 1] = 1  # eps(e_12) = 1
-    bad = Coring(C.base, C.bimodule, C.delta, eps_bad, square=C.square)
+    bad = Coring(C.base, C.bimodule, C.delta, eps_bad)
     rep = check_coring(bad)
     assert not rep.ok
     failed = {c.name for c in rep.failures()}
@@ -169,7 +169,6 @@ def test_divided_power_coalgebra_has_no_cointegral():
     bim = Bimodule(k, k, 2, [Matrix.eye(QQ, 2)], [Matrix.eye(QQ, 2)])
     sq = tensor_over(bim, bim)
     damb = Matrix(QQ, [[1, 0], [0, 1], [0, 1], [0, 0]])
-    C = Coring(k, bim, sq.project @ damb, Matrix(QQ, [[1, 0]]), square=sq,
-               name="divided-power")
+    C = Coring(k, bim, sq.project @ damb, Matrix(QQ, [[1, 0]]), name="divided-power")
     assert check_coring(C).ok
     assert find_cointegral(C) is None

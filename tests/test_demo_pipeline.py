@@ -1,6 +1,8 @@
-"""The CLI pipeline demo (demos/06_cli_pipeline.sh), run unmodified end to
-end: exit 0, nothing on stderr, and the pinned transcript on stdout once the
-temporary directory is normalised and the ``elapsed:`` lines are dropped."""
+"""The demos, run unmodified end to end: exit 0, nothing on stderr, and the
+pinned transcript on stdout.  For the CLI pipeline (demos/06_cli_pipeline.sh)
+the temporary directory is normalised and the ``elapsed:`` lines are
+dropped first; the Python demos 01-05 print no timings and are compared
+byte for byte."""
 
 import os
 import pathlib
@@ -8,8 +10,12 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "data" / "demo06_stdout.txt"
+DATA = ROOT / "tests" / "data"
+GOLDEN = DATA / "demo06_stdout.txt"
+PYTHON_DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def normalise(stdout: str, tmpdir: str) -> str:
@@ -39,3 +45,14 @@ def test_demo_pipeline_transcript(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert normalise(proc.stdout, work) == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("demo", PYTHON_DEMOS, ids=[d.stem for d in PYTHON_DEMOS])
+def test_python_demo_transcript(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    golden = DATA / f"demo{demo.name[:2]}_stdout.txt"
+    assert proc.stdout == golden.read_text(encoding="utf-8")

@@ -97,21 +97,20 @@ def coring_cases():
     Mc = matrix_coring(scalar_algebra(F2), 2)
     eps_bad = tampered(Mc.epsilon, [(0, 1, 1)])
     yield "coring/matrix-eps-broken", check_coring(
-        Coring(Mc.base, Mc.bimodule, Mc.delta, eps_bad, square=Mc.square))
+        Coring(Mc.base, Mc.bimodule, Mc.delta, eps_bad))
     T = trivial_coring(group_algebra(cyclic_group(2), F3)[0])
     yield "coring/trivial-delta-doubled", check_coring(
-        Coring(T.base, T.bimodule, T.delta.scale(2), T.epsilon, square=T.square))
+        Coring(T.base, T.bimodule, T.delta.scale(2), T.epsilon))
     yield "coring/trivial-eps-swapped", check_coring(
-        Coring(T.base, T.bimodule, T.delta, Matrix(F3, [[0, 1], [1, 0]]), square=T.square))
+        Coring(T.base, T.bimodule, T.delta, Matrix(F3, [[0, 1], [1, 0]])))
     D = trivial_coring(dual_numbers(F3))
     yield "coring/dual-delta-tampered", check_coring(
-        Coring(D.base, D.bimodule, tampered(D.delta, [(0, 1, 1)]), D.epsilon,
-               square=D.square))
+        Coring(D.base, D.bimodule, tampered(D.delta, [(0, 1, 1)]), D.epsilon))
     left = [D.bimodule.right_action[1], D.bimodule.left_action[1]]
     bim = Bimodule(D.base, D.base, 2, left, D.bimodule.right_action)
     sq = tensor_over(bim, bim)
     yield "coring/dual-left-action-broken", check_coring(
-        Coring(D.base, bim, sq.project @ D.delta_ambient, D.epsilon, square=sq))
+        Coring(D.base, bim, sq.project @ D.delta_ambient, D.epsilon))
     for C in (grouplike_coalgebra(2, F2), grouplike_coalgebra(3, F2),
               matrix_coring(scalar_algebra(F2), 2),
               trivial_coring(group_algebra(cyclic_group(2), F2)[0], name="trivial F2[Z2]"),
@@ -161,7 +160,7 @@ def comodule_cases():
             LeftComodule(T, treg.module, rho, cm=treg.as_left.cm))
     A = dual_numbers(F3)
     T2 = trivial_coring(A)
-    bad = Coring(A, T2.bimodule, T2.delta, Matrix(F3, [[0, 1], [1, 0]]), square=T2.square)
+    bad = Coring(A, T2.bimodule, T2.delta, Matrix(F3, [[0, 1], [1, 0]]))
     yield "comodule/eps-swapped", check_comodule(Comodule(bad, bad.bimodule, bad.delta))
     yield "left-comodule/eps-swapped", check_left_comodule(
         LeftComodule(bad, bad.bimodule, bad.delta))

@@ -6,13 +6,20 @@ Chains of three factors are built by left bracketing; ``chain_oracle``
 keeps the all-at-once construction (every adjacent balancing family on the
 full k-tensor product, one elimination) as their referee."""
 
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix,
-                     coring_from_entwining, cyclic_group, graded_coring, group_algebra,
-                     grouplike_coalgebra, matrix_algebra, matrix_coring, regular_bicomodule,
-                     regular_bimodule, regular_gset, scalar_algebra, tensor_chain, tensor_over)
+from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix, check_coring,
+                     coring_from_entwining, cyclic_group, enumerate_automorphisms,
+                     graded_coring, group_algebra, grouplike_coalgebra, inner_via_bicomodule,
+                     is_inner, matrix_algebra, matrix_coring, regular_bicomodule,
+                     regular_bimodule, regular_gset, scalar_algebra, tensor_chain, tensor_over,
+                     twisted_bicomodule)
+from corings import cli
 from corings.report import BalancednessError
 from corings.tensor import TensorQuotient
 
@@ -219,22 +226,37 @@ CORINGS = {"Mc2(F2[t]/t^2)": lambda: matrix_coring(dual_numbers(F2), 2),
            "Mc2(F3[Z2])": lambda: matrix_coring(_kz(2, F3), 2),
            "graded Z2/F3": lambda: _graded(2, F3), "graded Z3/F3": lambda: _graded(3, F3),
            **{f"entwined psi seed {s}": (lambda s=s: _entwined(s)) for s in range(4)}}
-# each case builds its chain through the library's own call site
+def _regular_chain(A):
+    factors = [regular_bimodule(A)] * 3
+    return factors, tensor_chain(factors)
+
+
+def _cube(C):
+    return [C.bimodule] * 3, C.cube
+
+
+def _comodule_chain(C, side):
+    """The chain that check_comodule (side "mcc") or check_left_comodule
+    (side "ccm") reads for C as a regular bicomodule."""
+    M = regular_bicomodule(C).module
+    factors = [M, C.bimodule, C.bimodule] if side == "mcc" else [C.bimodule, C.bimodule, M]
+    return factors, tensor_chain(factors)
+
+
+# each case returns its factors and its chain, built through the library's
+# own call site
 CHAINS = {
-    **{f"{name} regular": (lambda A=A: tensor_chain([regular_bimodule(A())] * 3))
-       for name, A in REGULAR.items()},
-    **{f"{name} cube": (lambda C=C: C().cube) for name, C in CORINGS.items()},
-    **{f"{name} mcc": (lambda C=C: regular_bicomodule(C()).as_right.mcc)
-       for name, C in CORINGS.items()},
-    **{f"{name} ccm": (lambda C=C: regular_bicomodule(C()).as_left.ccm)
-       for name, C in CORINGS.items()},
+    **{f"{name} regular": (lambda A=A: _regular_chain(A())) for name, A in REGULAR.items()},
+    **{f"{name} cube": (lambda C=C: _cube(C())) for name, C in CORINGS.items()},
+    **{f"{name} {side}": (lambda C=C, side=side: _comodule_chain(C(), side))
+       for side in ("mcc", "ccm") for name, C in CORINGS.items()},
 }
 
 
 @pytest.mark.parametrize("build", CHAINS.values(), ids=CHAINS.keys())
 def test_left_bracketed_chain_matches_all_at_once(build):
-    chain = build()
-    _, project, section, module = chain_oracle(chain.factors)
+    factors, chain = build()
+    _, project, section, module = chain_oracle(factors)
     assert chain.dim == project.nrows
     assert _same(chain.project, project)
     assert _same(chain.section, section)
@@ -249,7 +271,7 @@ def test_descend_witness_is_an_unkilled_relation(name):
     all-at-once relations that the map does not kill."""
     C = CORINGS[name]()
     cube = C.cube
-    relations = chain_oracle(cube.factors)[0]
+    relations = chain_oracle([C.bimodule] * 3)[0]
     f = C.field
     good = cube.project
     assert cube.descend(good) == Matrix.eye(f, cube.dim)
@@ -261,3 +283,116 @@ def test_descend_witness_is_an_unkilled_relation(name):
         w = exc.value.witness
         assert Matrix.vstack([relations, Matrix(f, w.reshape(1, -1))]).rank() == relations.rank()
         assert any(x != f.scalar(0) for x in bad @ w)
+
+
+# -- a bimodule owns its tensor powers ----------------------------------------
+
+@pytest.mark.parametrize("power", ["square", "cube"])
+@pytest.mark.parametrize("name", CORINGS.keys())
+def test_cached_power_equals_a_fresh_quotient(name, power):
+    """C.square and C.cube, taken from the carrier's powers, are the
+    quotients built afresh from an uncached twin of the carrier."""
+    C = CORINGS[name]()
+    got = getattr(C, power)
+    bim = C.bimodule
+    twin = Bimodule(bim.left_algebra, bim.right_algebra, bim.dim, bim.left_action,
+                    bim.right_action)
+    fresh = TensorQuotient([twin] * (2 if power == "square" else 3))
+    assert got is tensor_chain([bim] * (2 if power == "square" else 3))
+    assert got.dim == fresh.dim
+    for attr in ("relations", "project", "section"):
+        assert _same(getattr(got, attr), getattr(fresh, attr))
+    for side in ("left_action", "right_action"):
+        assert all(_same(x, y) for x, y in zip(getattr(got.module, side),
+                                               getattr(fresh.module, side)))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts TensorQuotient constructions: "two" for a two-factor
+    elimination, "chain" for three or more factors."""
+    counts = Counter()
+    init = TensorQuotient.__init__
+
+    def counted(self, factors, column_order=None):
+        counts["two" if len(factors) == 2 else "chain" if len(factors) > 2 else "one"] += 1
+        init(self, factors, column_order)
+
+    monkeypatch.setattr(TensorQuotient, "__init__", counted)
+    return counts
+
+
+def test_cube_after_square_is_one_new_elimination(builds):
+    C = matrix_coring(_kz(2, F3), 2)
+    C.square
+    builds.clear()
+    C.cube
+    assert builds == {"two": 1, "chain": 1}
+    C.cube
+    assert builds == {"two": 1, "chain": 1}
+
+
+def test_bicomodule_oracle_on_rho_identity_builds_no_quotient(builds):
+    C = _graded(3, F3)
+    C.square, C.cube
+    f = enumerate_automorphisms(C).elements[1]
+    builds.clear()
+    assert inner_via_bicomodule(f).status == "isomorphic"
+    assert not builds
+
+
+@pytest.mark.parametrize("build, command", [
+    (["grouplike", "-n", "3", "--field", "F2"], ["exactseq", "--enumerate"]),
+    (["matrix", "-n", "2", "--field", "F2"], ["exactseq", "--enumerate"]),
+    (["graded-coring", "--group", "3", "--field", "F3"], ["exactseq", "--enumerate"]),
+    (["graded-coring", "--group", "3", "--field", "F3"], ["validate"]),
+    (["graded-coring", "--group", "3", "--field", "F3"], ["cointegral"]),
+], ids=["kZ3/F2 exactseq", "Mc2(F2) exactseq", "graded Z3/F3 exactseq",
+        "graded Z3/F3 validate", "graded Z3/F3 cointegral"])
+def test_cli_builds_the_square_and_cube_once(tmp_path, capsys, builds, build, command):
+    """A loaded coring's square, and its cube (one chain over the cached
+    square), are the only quotients a command builds: the bicomodule
+    oracle reads powers of C's carrier on every automorphism."""
+    doc = str(tmp_path / "c.json")
+    assert cli.main(["build", *build, "-o", doc]) == 0
+    builds.clear()
+    assert cli.main([command[0], doc, *command[1:]]) == 0
+    assert builds == {"two": 2, "chain": 1}
+    capsys.readouterr()
+
+
+def test_powers_make_no_reference_cycle():
+    """A coring, its carrier and its cube are freed by reference counting
+    alone, after its powers were read and its checks and oracle ran."""
+    gc.disable()
+    try:
+        C = _graded(2, F3)
+        C.square, C.cube.module
+        assert check_coring(C).ok
+        auts = enumerate_automorphisms(C)
+        assert inner_via_bicomodule(auts.elements[1]).status == "isomorphic"
+        refs = [weakref.ref(x) for x in (C, C.bimodule, C.cube)]
+        del C, auts
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_twist_with_rho_not_identity_gets_its_own_module():
+    """Graded Z2/F3 has two automorphisms whose rho is g -> -g; their twist
+    is carried by a new module, and both oracles still agree on them.  A
+    twist over a field base, such as the group-like swap, always has
+    rho = id."""
+    C = _graded(2, F3)
+    eye = Matrix.eye(F3, C.base.dim)
+    auts = enumerate_automorphisms(C, fix_rho_identity=False).elements
+    moved = [f for f in auts if f.rho.matrix != eye]
+    assert len(moved) == 2
+    for f in auts:
+        tw = twisted_bicomodule(f)
+        assert (tw.module is C.bimodule) == (f not in moved)
+        lin = is_inner(f).is_inner
+        assert lin is not None and lin == (inner_via_bicomodule(f).status == "isomorphic")
+    for f in moved:
+        tw = twisted_bicomodule(f)
+        assert tw.module.left_action != C.bimodule.left_action
