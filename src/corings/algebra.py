@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from typing import Callable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -231,7 +232,7 @@ class Bimodule:
         for M in (*self.left_action, *self.right_action):
             if M.shape != (dim, dim):
                 raise ValueError("action matrix shape mismatch")
-        self.powers: dict = {}  # r -> r-th tensor power, kept by tensor.tensor_chain
+        self.products: WeakKeyDictionary = WeakKeyDictionary()  # N -> self (x)_A N
 
     @cached_property
     def left_stack(self) -> Matrix:
@@ -369,7 +370,7 @@ class AlgebraMorphism:
 
     def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
         """self after other."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
+        if other.target is not self.source:
             raise ValueError("composition mismatch")
         return AlgebraMorphism(other.source, self.target, self.matrix @ other.matrix)
 

@@ -30,16 +30,16 @@ from .unitsearch import CERTIFIED_NONE, UNDECIDED, WITNESS, invertible_in_span
 
 
 class Comodule:
-    """Right C-comodule: module with coaction rho: M -> M (x)_A C."""
+    """Right C-comodule: module with coaction rho: M -> M (x)_A C, into
+    ``mc``, the quotient that M keeps (:func:`tensor_over`)."""
 
-    def __init__(self, coring: Coring, module: Bimodule, rho: Matrix,
-                 mc: Optional[TensorQuotient] = None):
+    def __init__(self, coring: Coring, module: Bimodule, rho: Matrix):
         if module.right_algebra is not coring.base:
             raise ValueError("module must be a right module over the coring base")
         self.coring = coring
         self.module = module
         self.field = coring.field
-        self.mc = mc if mc is not None else tensor_over(module, coring.bimodule)
+        self.mc = tensor_over(module, coring.bimodule)
         if rho.shape != (self.mc.dim, module.dim):
             raise ValueError(f"coaction must map M -> M(x)_AC coordinates, got {rho.shape}")
         self.rho = rho
@@ -53,16 +53,16 @@ class Comodule:
 
 
 class LeftComodule:
-    """Left C'-comodule: module with coaction lam: M -> C' (x)_{A'} M."""
+    """Left C'-comodule: module with coaction lam: M -> C' (x)_{A'} M, into
+    ``cm``, the quotient that the carrier of C' keeps (:func:`tensor_over`)."""
 
-    def __init__(self, coring: Coring, module: Bimodule, lam: Matrix,
-                 cm: Optional[TensorQuotient] = None):
+    def __init__(self, coring: Coring, module: Bimodule, lam: Matrix):
         if module.left_algebra is not coring.base:
             raise ValueError("module must be a left module over the coring base")
         self.coring = coring
         self.module = module
         self.field = coring.field
-        self.cm = cm if cm is not None else tensor_over(coring.bimodule, module)
+        self.cm = tensor_over(coring.bimodule, module)
         if lam.shape != (self.cm.dim, module.dim):
             raise ValueError(f"coaction must map M -> C(x)M coordinates, got {lam.shape}")
         self.lam = lam
@@ -379,10 +379,9 @@ def twisted_bicomodule(f: CoringMorphism) -> Bicomodule:
         rho_inv = f.rho.inverse().matrix
         lact = unstack(C.bimodule.left_stack @ rho_inv, (C.dim, C.dim))
         module = Bimodule(D.base, C.base, C.dim, lact, list(C.bimodule.right_action))
-    t_mc = tensor_over(module, C.bimodule)
-    rho = t_mc.project @ C.delta_ambient
-    t_dm = tensor_over(D.bimodule, module)
-    lam = t_dm.project @ (f.phi.kron(Matrix.eye(k, C.dim)) @ C.delta_ambient)
+    rho = tensor_over(module, C.bimodule).project @ C.delta_ambient
+    lam = tensor_over(D.bimodule, module).project @ (
+        f.phi.kron(Matrix.eye(k, C.dim)) @ C.delta_ambient)
     out = Bicomodule(D, C, module, lam, rho)
     rep = check_bicomodule(out)
     if not rep.ok:

@@ -20,9 +20,9 @@ from .tensor import TensorQuotient, tensor_chain, tensor_over
 class Coring:
     """An A-coring: (A,A)-bimodule with Delta: C -> C (x)_A C and eps: C -> A.
 
-    ``delta`` is a matrix into the coordinates of ``square``; ``square`` and
-    ``cube`` are the second and third tensor powers that the carrier holds
-    (:func:`corings.tensor.tensor_chain`), shared by everything built on it.
+    ``delta`` is a matrix into the coordinates of ``square``; the carrier
+    keeps ``square`` and the square keeps ``cube`` (:mod:`corings.tensor`),
+    so everything built on C shares them.
     ``epsilon`` maps into A-coordinates.  Construction checks shapes only;
     use :func:`check_coring` for the axioms.
     """

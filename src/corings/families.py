@@ -198,8 +198,7 @@ def entwined_to_comodule(E: EntwiningStructure, module: Bimodule,
         raise ValueError("plain coaction must map M -> M (x) C")
     unitcol = Matrix.column(f, A.unit)
     amb = Matrix.eye(f, dM).kron(unitcol.kron(Matrix.eye(f, dC))) @ rho_plain
-    t_mc = tensor_over(module, coring.bimodule)
-    como = Comodule(coring, module, t_mc.project @ amb, mc=t_mc)
+    como = Comodule(coring, module, tensor_over(module, coring.bimodule).project @ amb)
     comodule_report = check_comodule(como)
 
     # M (x) (A (x) C) and (M (x) A) (x) C share the same flat index, so the

@@ -148,7 +148,7 @@ def coring_to_payload(C: Coring) -> dict:
 
 def coring_from_payload(f: FieldSpec, payload, name: str = "coring") -> Coring:
     base = algebra_from_payload(f, _get(payload, "base"))
-    d = _dim_from_json(payload, "coring")
+    d = _dim_from_json(payload, "coring", least=1)
     lact = _actions_from_json(f, _get(payload, "left_action"), base.dim, d, "left_action")
     ract = _actions_from_json(f, _get(payload, "right_action"), base.dim, d, "right_action")
     bim = Bimodule(base, base, d, lact, ract)
@@ -171,9 +171,8 @@ def comodule_from_payload(f: FieldSpec, payload) -> Comodule:
     d = _dim_from_json(payload, "comodule")
     ract = _actions_from_json(f, _get(payload, "right_action"), C.base.dim, d, "right_action")
     module = right_module(C.base, d, ract)
-    mc = tensor_over(module, C.bimodule)
     ramb = _matrix_from_json(f, _get(payload, "rho_ambient"), d * C.dim, d, "rho_ambient")
-    return Comodule(C, module, mc.project @ ramb, mc=mc)
+    return Comodule(C, module, tensor_over(module, C.bimodule).project @ ramb)
 
 
 def entwining_to_payload(E: EntwiningStructure) -> dict:

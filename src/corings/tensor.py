@@ -13,15 +13,16 @@ Chains of three or more factors are bracketed to the left, one pair at a
 time on the (previous quotient) x (next factor) ambient; see
 :class:`TensorQuotient`.
 
-:func:`tensor_chain`, which :func:`tensor_over` calls, owns tensor powers:
-the r-th power of a bimodule M is built on first request and kept in
-``M.powers``, so a coring's square and cube, and the head of each chain
-C (x) C (x) M, are built once per carrier.  Other chains are built afresh.
+Every product is kept by its left operand, weakly keyed by its right
+factor: ``tensor_over(M, N)`` in ``M.products[N]``, a chain in the
+``products`` of its cached head chain.  An entry dies with its right
+factor, and a product that a caller built is the one its callees read.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -51,9 +52,9 @@ class TensorQuotient:
 
     A quotient keeps of its factors only what :attr:`module` reads: the
     outer algebras, their action lists and the factor dimensions.  Keeping
-    the factors would make a cached power point back at its owner (M ->
-    M.powers -> power -> M), a reference cycle that keeps every carrier
-    alive until the garbage collector runs.
+    the factors would keep alive the right factor that weakly keys a
+    product and make it point back at its owner (M -> M.products -> product
+    -> M), a reference cycle that only the garbage collector frees.
 
     Attributes:
         ambient_dim: product of factor dimensions.
@@ -63,6 +64,7 @@ class TensorQuotient:
         relations: rows spanning the relations of the last pair eliminated
             (for a chain, on the ambient of its last step).
         module: the induced (leftmost, rightmost) bimodule on the quotient.
+        products: the chains ``self (x) N``, weakly keyed by N.
     """
 
     def __init__(self, factors: Sequence[Bimodule], column_order: Optional[Sequence[int]] = None):
@@ -71,17 +73,17 @@ class TensorQuotient:
         field = factors[0].field
         self.field = field
         for P, Q in zip(factors, factors[1:]):
-            if P.right_algebra is not Q.left_algebra and \
-               P.right_algebra.dim != Q.left_algebra.dim:
+            if P.right_algebra is not Q.left_algebra:
                 raise ValueError("inner algebras of adjacent factors must match")
         self.ambient_dim = n = int(np.prod([m.dim for m in factors]))
         self._module: Optional[Bimodule] = None
+        self.products: WeakKeyDictionary = WeakKeyDictionary()
 
         if len(factors) > 2:
             if column_order is not None:
                 raise ValueError("column_order permutes a two-factor ambient only")
             head = tensor_chain(factors[:-1])
-            last = TensorQuotient([head.module, factors[-1]])
+            last = tensor_over(head.module, factors[-1])
             self.relations, self.dim = last.relations, last.dim
             self.project, self.section = last.project, last.section
             if head.dim < head.ambient_dim:
@@ -183,11 +185,11 @@ def tensor_over(M: Bimodule, N: Bimodule) -> TensorQuotient:
 
 
 def tensor_chain(factors: Sequence[Bimodule]) -> TensorQuotient:
-    """M_1 (x)_A ... (x)_A M_r.  When every factor is one bimodule M, this
-    is M's r-th power, kept in ``M.powers`` from its first request on."""
-    if not factors or any(M is not factors[0] for M in factors):
+    """M_1 (x)_A ... (x)_A M_r, kept by its left operand (M_1, or the cached
+    chain of all factors but M_r) in its ``products`` under the key M_r."""
+    if len(factors) < 2:
         return TensorQuotient(factors)
-    powers, r = factors[0].powers, len(factors)
-    if r not in powers:
-        powers[r] = TensorQuotient(factors)
-    return powers[r]
+    owner = factors[0] if len(factors) == 2 else tensor_chain(factors[:-1])
+    if factors[-1] not in owner.products:
+        owner.products[factors[-1]] = TensorQuotient(factors)
+    return owner.products[factors[-1]]

@@ -99,6 +99,15 @@ def test_algebra_morphism_validation():
     assert not bad.validate().ok
 
 
+def test_compose_needs_the_same_middle_algebra():
+    """Composing through two different algebras of one dimension is
+    refused: F3[Z2] and F3[t]/t^2 are both 2-dimensional."""
+    A, _ = group_algebra([[0, 1], [1, 0]], F3)
+    D = dual_numbers(F3)
+    with pytest.raises(ValueError):
+        AlgebraMorphism.identity(D).compose(AlgebraMorphism.identity(A))
+
+
 def test_element_inverse():
     A = dual_numbers(F3)
     one_plus_t = F3.normalize(A.unit + basis_vector(F3, 2, 1))

@@ -88,6 +88,21 @@ def test_malformed_document_is_parse_error(tmp_path, capsys, where, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["exactseq", "--enumerate"], ["cointegral"],
+                                     ["dual"], ["cotensor"]])
+def test_zero_dimensional_coring_is_parse_error(tmp_path, capsys, command):
+    """A coring document of dim 0, well formed otherwise, is refused on
+    load, as algebra and coalgebra documents of dim 0 are."""
+    out = str(tmp_path / "z.json")
+    run(capsys, "build", "trivial", "--dim", "1", "--field", "F3", "-o", out)
+    doc = doc_io.load(out)
+    doc["payload"].update(dim=0, left_action=[[]], right_action=[[]], delta_ambient=[],
+                          epsilon=[[]])
+    doc_io.save(out, doc)
+    assert main([command[0], out, *command[1:]]) == 3
+    assert "coring dim must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_invalid_json_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -38,7 +38,7 @@ def test_broken_counit_witnessed():
     bad_rho = reg.rho.copy()
     bad_rho.a.setflags(write=True)
     bad_rho.a[:, 0] = 0  # kill the coaction on the first group-like
-    M = Comodule(C, reg.module, bad_rho, mc=reg.mc)
+    M = Comodule(C, reg.module, bad_rho)
     rep = check_comodule(M)
     assert not rep.ok
     assert not rep.check("counit").ok
@@ -57,7 +57,7 @@ def grouplike_graded_comodule(C, dims):
         for _ in range(d):
             amb[i * C.dim + g, i] = one
             i += 1
-    return Comodule(C, module, mc.project @ Matrix(f, amb), mc=mc)
+    return Comodule(C, module, mc.project @ Matrix(f, amb))
 
 
 def test_hom_space_of_regular_grouplike():

@@ -146,18 +146,18 @@ def comodule_cases():
     reg = regular_bicomodule(C)
     bad_rho = tampered(reg.rho, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
     yield "comodule/grouplike-counit", check_comodule(
-        Comodule(C, reg.module, bad_rho, mc=reg.as_right.mc))
+        Comodule(C, reg.module, bad_rho))
     yield "left-comodule/grouplike-counit", check_left_comodule(
-        LeftComodule(C, reg.module, bad_rho, cm=reg.as_left.cm))
+        LeftComodule(C, reg.module, bad_rho))
     T = trivial_coring(dual_numbers(F3))
     treg = regular_bicomodule(T)
     for label, rho in (("rho-tampered", tampered(treg.rho, [(0, 1, 1)])),
                        ("rho-swapped", Matrix(F3, [[0, 1], [1, 0]])),
                        ("rho-doubled", treg.rho.scale(2))):
         yield f"comodule/dual-{label}", check_comodule(
-            Comodule(T, treg.module, rho, mc=treg.as_right.mc))
+            Comodule(T, treg.module, rho))
         yield f"left-comodule/dual-{label}", check_left_comodule(
-            LeftComodule(T, treg.module, rho, cm=treg.as_left.cm))
+            LeftComodule(T, treg.module, rho))
     A = dual_numbers(F3)
     T2 = trivial_coring(A)
     bad = Coring(A, T2.bimodule, T2.delta, Matrix(F3, [[0, 1], [1, 0]]))

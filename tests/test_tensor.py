@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix, check_coring,
-                     coring_from_entwining, cyclic_group, enumerate_automorphisms,
+                     coring_from_entwining, cotensor, cyclic_group, enumerate_automorphisms,
                      graded_coring, group_algebra, grouplike_coalgebra, inner_via_bicomodule,
                      is_inner, matrix_algebra, matrix_coring, regular_bicomodule,
                      regular_bimodule, regular_gset, scalar_algebra, tensor_chain, tensor_over,
@@ -157,6 +157,13 @@ def test_mismatched_inner_algebras_rejected():
         tensor_over(regular_bimodule(A), regular_bimodule(B))
 
 
+def test_inner_algebras_of_one_dimension_must_be_the_same_object():
+    """F3[Z2] and F3[t]/t^2 are both 2-dimensional; balancing over one of
+    them the other's module is refused, not a quotient."""
+    with pytest.raises(ValueError):
+        tensor_over(regular_bimodule(_kz(2, F3)), regular_bimodule(dual_numbers(F3)))
+
+
 # -- the all-at-once chain quotient as a referee for left bracketing ---------
 
 def chain_oracle(factors):
@@ -285,12 +292,12 @@ def test_descend_witness_is_an_unkilled_relation(name):
         assert any(x != f.scalar(0) for x in bad @ w)
 
 
-# -- a bimodule owns its tensor powers ----------------------------------------
+# -- every product is kept by its left operand ---------------------------------
 
 @pytest.mark.parametrize("power", ["square", "cube"])
 @pytest.mark.parametrize("name", CORINGS.keys())
 def test_cached_power_equals_a_fresh_quotient(name, power):
-    """C.square and C.cube, taken from the carrier's powers, are the
+    """C.square and C.cube, kept by the carrier and by the square, are the
     quotients built afresh from an uncached twin of the carrier."""
     C = CORINGS[name]()
     got = getattr(C, power)
@@ -351,8 +358,8 @@ def test_bicomodule_oracle_on_rho_identity_builds_no_quotient(builds):
         "graded Z3/F3 validate", "graded Z3/F3 cointegral"])
 def test_cli_builds_the_square_and_cube_once(tmp_path, capsys, builds, build, command):
     """A loaded coring's square, and its cube (one chain over the cached
-    square), are the only quotients a command builds: the bicomodule
-    oracle reads powers of C's carrier on every automorphism."""
+    square), are the only quotients a command builds: with rho = id the
+    bicomodule oracle reads C's square and cube on every automorphism."""
     doc = str(tmp_path / "c.json")
     assert cli.main(["build", *build, "-o", doc]) == 0
     builds.clear()
@@ -361,9 +368,49 @@ def test_cli_builds_the_square_and_cube_once(tmp_path, capsys, builds, build, co
     capsys.readouterr()
 
 
-def test_powers_make_no_reference_cycle():
-    """A coring, its carrier and its cube are freed by reference counting
-    alone, after its powers were read and its checks and oracle ran."""
+def _moved(C):
+    """The automorphisms of C whose rho is not the identity."""
+    eye = Matrix.eye(C.field, C.base.dim)
+    return [f for f in enumerate_automorphisms(C, fix_rho_identity=False).elements
+            if f.rho.matrix != eye]
+
+
+def test_full_rho_exactseq_shares_each_twists_quotients(tmp_path, capsys, builds):
+    """Graded Z2/F3 with --full-rho: beyond C's square and cube, each of
+    the two twists with rho != id builds its five pairs and three chains
+    once, for the twist and its check, not again for its comodules."""
+    doc = str(tmp_path / "c.json")
+    assert cli.main(["build", "graded-coring", "--group", "2", "--field", "F3", "-o", doc]) == 0
+    builds.clear()
+    assert cli.main(["exactseq", doc, "--enumerate", "--full-rho"]) == 0
+    assert builds == {"two": 12, "chain": 7}
+    capsys.readouterr()
+
+
+def test_twist_and_cotensor_read_the_quotients_already_built(builds):
+    """With rho != id, the twisted bicomodule's comodules hold the very
+    M (x) C and D (x) M that twisted_bicomodule built, and its check adds
+    three chains on them; a cotensor with C afterwards builds only the two
+    products of its kernel with C."""
+    C = _graded(2, F3)
+    C.square, C.cube
+    f = _moved(C)[0]
+    builds.clear()
+    tw = twisted_bicomodule(f)
+    assert builds == {"two": 5, "chain": 3}
+    assert tw.as_right.mc is tensor_over(tw.module, C.bimodule)
+    assert tw.as_left.cm is tensor_over(C.bimodule, tw.module)
+    assert builds == {"two": 5, "chain": 3}
+    builds.clear()
+    cotensor(tw, regular_bicomodule(C))
+    assert builds == {"two": 2}
+
+
+def test_products_make_no_reference_cycle():
+    """Reference counting alone frees every twisted module once its twist,
+    oracle and cotensor are dropped, and with it every product it keys, so
+    the carrier keeps only its square; and it frees the coring, its carrier
+    and its cube once they are dropped."""
     gc.disable()
     try:
         C = _graded(2, F3)
@@ -371,8 +418,17 @@ def test_powers_make_no_reference_cycle():
         assert check_coring(C).ok
         auts = enumerate_automorphisms(C)
         assert inner_via_bicomodule(auts.elements[1]).status == "isomorphic"
+        moved = _moved(C)
+        twists = [twisted_bicomodule(f) for f in moved]
+        assert {inner_via_bicomodule(f).status for f in moved} <= {"isomorphic", "not-isomorphic"}
+        cotensors = [cotensor(tw, regular_bicomodule(C)) for tw in twists]
+        modules = [weakref.ref(tw.module) for tw in twists]
+        assert len(modules) == 2 and len(C.bimodule.products) > 1
+        del twists, cotensors
+        assert [r() for r in modules] == [None, None]
+        assert list(C.bimodule.products.keys()) == [C.bimodule]
         refs = [weakref.ref(x) for x in (C, C.bimodule, C.cube)]
-        del C, auts
+        del C, auts, moved
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
