@@ -420,7 +420,7 @@ def test_products_make_no_reference_cycle():
         assert inner_via_bicomodule(auts.elements[1]).status == "isomorphic"
         moved = _moved(C)
         twists = [twisted_bicomodule(f) for f in moved]
-        assert {inner_via_bicomodule(f).status for f in moved} <= {"isomorphic", "not-isomorphic"}
+        assert {inner_via_bicomodule(f).status for f in moved} == {"isomorphic"}
         cotensors = [cotensor(tw, regular_bicomodule(C)) for tw in twists]
         modules = [weakref.ref(tw.module) for tw in twists]
         assert len(modules) == 2 and len(C.bimodule.products) > 1
