@@ -246,7 +246,7 @@ def cmd_exactseq(args) -> Result:
         return (FAIL, [f"ORACLE DISAGREEMENT: {e}"],
                 {"command": "exactseq", "status": "oracle-disagreement", "detail": str(e)})
     prose = [rep.summary()]
-    if not rep.complete:
+    if args.enumerate and not rep.complete:
         prose.append("warning: enumeration incomplete within budget")
     machine = {
         "command": "exactseq",

@@ -9,6 +9,7 @@ tensor quotients, and reports each failure with a witness.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from .algebra import Algebra, AlgebraMorphism, Bimodule
@@ -23,8 +24,8 @@ class Coring:
     ``delta`` is a matrix into the coordinates of ``square``; the carrier
     keeps ``square`` and the square keeps ``cube`` (:mod:`corings.tensor`),
     so everything built on C shares them.
-    ``epsilon`` maps into A-coordinates.  Construction checks shapes only;
-    use :func:`check_coring` for the axioms.
+    ``epsilon`` maps into A-coordinates.  Construction checks shapes only,
+    and refuses a zero carrier; use :func:`check_coring` for the axioms.
     """
 
     def __init__(self, base: Algebra, bimodule: Bimodule, delta: Matrix, epsilon: Matrix,
@@ -36,6 +37,8 @@ class Coring:
         self.name = name
         if bimodule.left_algebra is not base or bimodule.right_algebra is not base:
             raise ValueError("carrier must be a bimodule over the base algebra on both sides")
+        if bimodule.dim == 0:
+            raise ValueError("a coring needs a nonzero carrier")
         self.square = tensor_over(bimodule, bimodule)
         if delta.shape != (self.square.dim, self.dim):
             raise ValueError(f"delta must map C -> C(x)_AC coordinates, got {delta.shape}")
@@ -55,6 +58,13 @@ class Coring:
         if "delta_ambient" not in self._cache:
             self._cache["delta_ambient"] = self.square.section @ self.delta
         return self._cache["delta_ambient"]
+
+    @cached_property
+    def coassociativity_maps(self) -> tuple[Matrix, Matrix]:
+        """(Delta (x)_A C, C (x)_A Delta), square -> cube, induced from delta_ambient
+        (x) I and I (x) delta_ambient; a BalancednessError propagates, keeping nothing."""
+        I, damb, sq = Matrix.eye(self.field, self.dim), self.delta_ambient, self.square
+        return sq.induce(damb.kron(I), self.cube), sq.induce(I.kron(damb), self.cube)
 
     def __repr__(self) -> str:
         return f"Coring({self.name}, dim={self.dim}, base dim {self.base.dim}, {self.field})"
@@ -79,16 +89,14 @@ def check_coring(C: Coring) -> Report:
                           for a in range(A.dim)))
 
     # coassociativity inside C (x)_A C (x)_A C
-    I = Matrix.eye(f, C.dim)
-    damb = C.delta_ambient
     try:
-        left = sq.induce(damb.kron(I), C.cube)
-        right = sq.induce(I.kron(damb), C.cube)
+        left, right = C.coassociativity_maps
         rb.add("coassociativity", left @ D == right @ D)
     except BalancednessError:
         rb.add("coassociativity", False, "ambient comultiplication is unbalanced")
 
     # eps (x)_A C and C (x)_A eps
+    I = Matrix.eye(f, C.dim)
     for label, contract in (("counit-left", bim.left_contraction),
                             ("counit-right", bim.right_contraction)):
         try:
@@ -179,7 +187,7 @@ class Cointegral:
     def validate(self) -> Report:
         rb = ReportBuilder("cointegral")
         C = self.coring
-        A, f = C.base, C.field
+        A = C.base
         sq = C.square
         d = self.delta
         ok = all(d @ sq.module.left_action[a] == A.basis_left_mult(a) @ d for a in range(A.dim))
@@ -198,8 +206,7 @@ class Cointegral:
         except BalancednessError:
             rb.add("contraction-balanced", False)
             lhs, rhs = [amb @ cube.section for amb in ambient]
-        dl = sq.induce(C.delta_ambient.kron(Matrix.eye(f, C.dim)), cube)
-        dr = sq.induce(Matrix.eye(f, C.dim).kron(C.delta_ambient), cube)
+        dl, dr = C.coassociativity_maps
         rb.add("mixed-coassociativity", lhs @ dl == rhs @ dr)
         return rb.build()
 
@@ -221,12 +228,11 @@ def find_cointegral(C: Coring) -> Optional[Cointegral]:
     # mixed coassociativity, evaluated on section representatives; this is
     # equivalent to the real condition once bilinearity (imposed above)
     # makes the contraction maps balanced
-    cube = C.cube
-    I = Matrix.eye(f, d)
-    dl = sq.induce_or_none(C.delta_ambient.kron(I), cube)
-    dr = sq.induce_or_none(I.kron(C.delta_ambient), cube)
-    if dl is None or dr is None:
+    try:
+        dl, dr = C.coassociativity_maps
+    except BalancednessError:
         return None
+    cube = C.cube
     # P2 contracted once with the representatives: Zl[c] = (C (x) <P2 row c>)
     # of (Delta (x) C) Delta and Zr[c] = (<P2 row c> (x) C) of (C (x) Delta)
     # Delta, each d x q2, laid out side by side as d x (q2 * q2)

@@ -17,12 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraMorphism, Bimodule, right_module
+from .algebra import Algebra, AlgebraMorphism, Bimodule, right_module, scalar_algebra
 from .comodule import Comodule
 from .convolution import LEFT, RIGHT, DualElement
 from .coring import Coring, CoringMorphism
-from .families import (Bialgebra, DKStructure, EntwiningStructure, GradedData,
-                       grouplike_coalgebra)
+from .families import Bialgebra, DKStructure, EntwiningStructure, GradedData
 from .fields import FieldSpec, Matrix
 from .tensor import tensor_over
 
@@ -162,7 +161,7 @@ def comodule_to_payload(M: Comodule) -> dict:
         "coring": coring_to_payload(M.coring),
         "dim": M.dim,
         "right_action": _actions_to_json(M.module.right_action),
-        "rho_ambient": _matrix_to_json(M.mc.section @ M.rho),
+        "rho_ambient": _matrix_to_json(M.rho_ambient()),
     }
 
 
@@ -178,21 +177,24 @@ def comodule_from_payload(f: FieldSpec, payload) -> Comodule:
 def entwining_to_payload(E: EntwiningStructure) -> dict:
     return {
         "algebra": algebra_to_payload(E.algebra),
-        "coalgebra": {
-            "dim": E.coalgebra.dim,
-            "delta": _matrix_to_json(E.coalgebra.delta_ambient),
-            "epsilon": _matrix_to_json(E.coalgebra.epsilon),
-        },
+        "coalgebra": coalgebra_to_payload(E.coalgebra),
         "psi": _matrix_to_json(E.psi),
     }
 
 
+def coalgebra_to_payload(C: Coring) -> dict:
+    return {"dim": C.dim, "delta": _matrix_to_json(C.delta_ambient),
+            "epsilon": _matrix_to_json(C.epsilon)}
+
+
 def coalgebra_from_payload(f: FieldSpec, obj) -> Coring:
     d = _dim_from_json(obj, "coalgebra", least=1)
-    shell = grouplike_coalgebra(d, f)  # carrier scaffold over k; maps replaced
     damb = _matrix_from_json(f, _get(obj, "delta"), d * d, d, "coalgebra delta")
     eps = _matrix_from_json(f, _get(obj, "epsilon"), 1, d, "coalgebra epsilon")
-    return Coring(shell.base, shell.bimodule, shell.square.project @ damb, eps, name="coalgebra")
+    k = scalar_algebra(f)
+    I = Matrix.eye(f, d)
+    bim = Bimodule(k, k, d, [I], [I])
+    return Coring(k, bim, tensor_over(bim, bim).project @ damb, eps, name="coalgebra")
 
 
 def entwining_from_payload(f: FieldSpec, payload) -> EntwiningStructure:
@@ -211,11 +213,7 @@ def dk_to_payload(D: DKStructure) -> dict:
         },
         "algebra": algebra_to_payload(D.algebra),
         "coaction": _matrix_to_json(D.coaction),
-        "coalgebra": {
-            "dim": D.coalgebra.dim,
-            "delta": _matrix_to_json(D.coalgebra.delta_ambient),
-            "epsilon": _matrix_to_json(D.coalgebra.epsilon),
-        },
+        "coalgebra": coalgebra_to_payload(D.coalgebra),
         "action": _matrix_to_json(D.action),
     }
 

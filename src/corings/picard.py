@@ -99,8 +99,8 @@ def _unit_search(coords: Matrix, alg: Algebra, budget: int,
                  seed: int) -> tuple[str, UnitSearchResult]:
     """Whether the span of the columns of ``coords`` holds a unit of alg, as
     an inner-ness status; an empty span is a deterministic NOT_INNER."""
-    res = subspace_contains_unit([coords.a[:, j] for j in range(coords.ncols)], alg.multiply,
-                                 alg.unit, alg.field, budget=budget, seed=seed)
+    res = subspace_contains_unit([coords.a[:, j] for j in range(coords.ncols)], alg,
+                                 budget=budget, seed=seed)
     return _STATUS[res.status], res
 
 
@@ -271,22 +271,18 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
        by column: with X_c = vec^-1(S Delta e_c), keep the phi with
        ``Delta phi e_c == P vec(phi X_c phi^T)``, O(d^3) per candidate
        where phi (x) phi costs d^4.  Most candidates fail column 0, so the
-       later columns and steps see few;
-    2. balance: phi (x) phi must descend to the square, i.e. ``P vec(phi W
-       phi^T) == 0`` for every nonzero column W of ``I - S P`` -- exactly
-       the kernel that ``TensorQuotient.descend`` checks (skipped, as
-       there, when the square has no relations).  Twisted bilinearity
-       already implies it, so it rejects nothing; it certifies the
-       survivors exactly as ``descend`` would;
-    3. bijectivity, ``phi.is_invertible()`` on each survivor in order.
+       later columns and the bijectivity check see few;
+    2. bijectivity, ``phi.is_invertible()`` on each survivor in order.
 
     Here P and S are the square's project and section.  A candidate is
-    kept iff it passes all three predicates; each depends only on phi, so
-    the order of the checks does not change which candidates are kept,
-    nor their order, which is the scan order.  The budget accounting
+    kept iff it passes both predicates; each depends only on phi, so the
+    order of the checks does not change which candidates are kept, nor
+    their order, which is the scan order.  The budget accounting
     (``spent``, ``remaining``, ``complete``) is per candidate space and
     does not depend on the checks.  Every element is then re-validated by
-    ``check_coring_morphism`` and ``is_isomorphism``."""
+    ``check_coring_morphism`` and ``is_isomorphism``; that check's
+    ``descend`` of phi (x) phi to the square certifies the balance that
+    twisted bilinearity implies, and a failure there raises."""
     k = C.field
     if k.kind != "Fp":
         raise InvalidStructureError("automorphism enumeration needs a finite field")
@@ -297,12 +293,7 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
         complete = True
     else:
         rhos, complete = _algebra_automorphisms(A, budget)
-    sq = C.square
-    D, P, X = C.delta.a, sq.project.a, C.delta_ambient.a
-    balance = []
-    if sq.dim < sq.ambient_dim:
-        K = (Matrix.eye(k, sq.ambient_dim) - sq.section @ sq.project).a
-        balance = [K[:, j].reshape(d, d) for j in np.flatnonzero((K != 0).any(axis=0))]
+    D, P, X = C.delta.a, C.square.project.a, C.delta_ambient.a
     found: list[CoringMorphism] = []
     spent = 0
     for rho in rhos:
@@ -333,8 +324,6 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
                 lhs = phis[:, :, c] @ D.T % p
                 phis = phis[(lhs == _sandwich_projected(phis, X[:, c].reshape(d, d), P, p))
                             .all(axis=1)]
-            for W in balance:
-                phis = phis[(_sandwich_projected(phis, W, P, p) == 0).all(axis=1)]
             for arr in phis:
                 phi = Matrix(k, arr)
                 if phi.is_invertible():

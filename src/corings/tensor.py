@@ -50,6 +50,9 @@ class TensorQuotient:
     ``(S_head (x) I) w``, w a relation of the last step leading at the
     matching column; and every such lift is a relation.
 
+    The chart is fixed: the free columns of the relations' reduced echelon
+    form, in ambient column order; maps induced on it do not depend on it.
+
     A quotient keeps of its factors only what :attr:`module` reads: the
     outer algebras, their action lists and the factor dimensions.  Keeping
     the factors would keep alive the right factor that weakly keys a
@@ -67,7 +70,7 @@ class TensorQuotient:
         products: the chains ``self (x) N``, weakly keyed by N.
     """
 
-    def __init__(self, factors: Sequence[Bimodule], column_order: Optional[Sequence[int]] = None):
+    def __init__(self, factors: Sequence[Bimodule]):
         if not factors:
             raise ValueError("need at least one factor")
         field = factors[0].field
@@ -80,8 +83,6 @@ class TensorQuotient:
         self.products: WeakKeyDictionary = WeakKeyDictionary()
 
         if len(factors) > 2:
-            if column_order is not None:
-                raise ValueError("column_order permutes a two-factor ambient only")
             head = tensor_chain(factors[:-1])
             last = tensor_over(head.module, factors[-1])
             self.relations, self.dim = last.relations, last.dim
@@ -107,21 +108,13 @@ class TensorQuotient:
                     rel_blocks.append(rel.rearranged(lambda x: x[keep]))
         self.relations = Matrix.vstack(rel_blocks) if rel_blocks else Matrix.zeros(field, 0, n)
 
-        work = self.relations
-        self._order = list(column_order) if column_order is not None else None
-        if self._order is not None:
-            if sorted(self._order) != list(range(n)):
-                raise ValueError("column_order must permute the ambient columns")
-            work = work.rearranged(lambda x: x[:, self._order])
-
         # the kernel basis, transposed, is the identity on the free columns
         # and minus the echelon rows' free entries on the pivot columns; the
         # section is the identity's free columns
-        kernel, free = work._kernel()
+        kernel, free = self.relations._kernel()
         self.dim = len(free)
-        back = np.argsort(self._order) if self._order is not None else slice(None)
-        self.project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T[:, back]))
-        self.section = Matrix.eye(field, n).rearranged(lambda x: x[back][:, free])
+        self.project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T))
+        self.section = Matrix.eye(field, n).rearranged(lambda x: x[:, free])
 
     @property
     def module(self) -> Bimodule:
@@ -171,12 +164,6 @@ class TensorQuotient:
         if ambient_map.shape != (target.ambient_dim, self.ambient_dim):
             raise ValueError("ambient map shape mismatch")
         return self.descend(target.project @ ambient_map)
-
-    def induce_or_none(self, ambient_map: Matrix, target: "TensorQuotient") -> Optional[Matrix]:
-        try:
-            return self.induce(ambient_map, target)
-        except BalancednessError:
-            return None
 
 
 def tensor_over(M: Bimodule, N: Bimodule) -> TensorQuotient:

@@ -2,7 +2,8 @@
 
 The element ``sum t_i b_i`` is invertible exactly when its left-multiplication
 operator is nonsingular, so everything reduces to: does a span of square
-matrices contain an invertible one?  The determinant of a linear combination
+matrices contain an invertible one?  (The operators come from one product
+with the algebra's ``left_stack``.)  The determinant of a linear combination
 is a polynomial of total degree at most D (the matrix side) in the
 coefficients, which drives the search strategy:
 
@@ -21,11 +22,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, Matrix, as_vector, basis_vector, combine, stack_vecs
+from .algebra import Algebra
+from .fields import FieldSpec, Matrix, as_vector, combine, stack_vecs, unstack
 
 DEFAULT_BUDGET = 200_000
 RANDOM_TRIALS = 20
@@ -103,38 +105,32 @@ def invertible_in_span(
 
 def subspace_contains_unit(
     basis: Sequence[np.ndarray],
-    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    one: np.ndarray,
-    field: FieldSpec,
+    algebra: Algebra,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> UnitSearchResult:
-    """Decide whether ``span(basis)`` inside a unital associative algebra
-    (given by its bilinear ``multiply`` and its ``one``) contains a unit.
+    """Decide whether ``span(basis)`` inside ``algebra`` contains a unit.
 
-    Any witness is verified by exact inversion: the returned element times
-    its returned inverse is ``one`` on both sides.
+    The left multiplications of the basis elements are the columns of
+    ``algebra.left_stack @ coords``, coords the basis as columns.  Any
+    witness is inverted by ``algebra.element_inverse``, which re-verifies
+    that the returned element times its returned inverse is the unit on
+    both sides.
     """
-    one = as_vector(field, one)
-    dim = one.shape[0]
+    field, dim = algebra.field, algebra.dim
     basis = [as_vector(field, b) for b in basis]
     for b in basis:
         if b.shape[0] != dim:
             raise ValueError("basis element dimension differs from ambient algebra")
-    def left_mult(x) -> Matrix:
-        """The left-multiplication operator of x on the ambient algebra."""
-        return Matrix(field, np.stack([multiply(x, basis_vector(field, dim, k))
-                                       for k in range(dim)], axis=1))
-
-    res = invertible_in_span([left_mult(b) for b in basis], budget=budget, seed=seed)
+    coords = Matrix(field, np.stack(basis, axis=1)) if basis else Matrix.zeros(field, dim, 0)
+    ops = unstack(algebra.left_stack @ coords, (dim, dim))
+    res = invertible_in_span(ops, budget=budget, seed=seed)
     if res.status != WITNESS:
         return res
-    x = Matrix.hstack([Matrix.column(field, b) for b in basis]) @ res.witness
-    y = left_mult(x).solve(one)
+    x = coords @ res.witness
+    y = algebra.element_inverse(x)
     if y is None:
         raise AssertionError("unit-search witness failed inversion")
-    if not (np.all(multiply(x, y) == one) and np.all(multiply(y, x) == one)):
-        raise AssertionError("unit-search witness failed two-sided verification")
     return UnitSearchResult(
         WITNESS,
         witness=res.witness,

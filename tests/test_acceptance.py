@@ -400,8 +400,7 @@ def test_criterion_10_unit_search_soundness():
         for trial in range(30):
             m = int(rng.integers(1, 5))
             basis = [field.normalize(rng.integers(0, p, size=dim)) for _ in range(m)]
-            res = subspace_contains_unit(basis, alg.multiply, alg.unit, field,
-                                         budget=100_000, seed=trial)
+            res = subspace_contains_unit(basis, alg, budget=100_000, seed=trial)
             assert res.status in (WITNESS, CERTIFIED_NONE)
             # exhaustive brute force over at most p^4 <= 81 points... up to
             # p^m; all spaces here are <= 3^4 = 81 <= 1e5 points
@@ -425,7 +424,7 @@ def test_criterion_10_unit_search_soundness():
     big = matrix_algebra(F3, 3)
     basis = [basis_vector(F3, 9, i) for i in (1, 2, 3, 5, 6, 7)] \
         + [F3.normalize(rng.integers(0, 3, size=9)) for _ in range(4)]
-    res = subspace_contains_unit(basis, big.multiply, big.unit, F3, budget=100_000, seed=0)
+    res = subspace_contains_unit(basis, big, budget=100_000, seed=0)
     assert res.status in (WITNESS, CERTIFIED_NONE)
     if res.status == WITNESS:
         assert np.all(big.multiply(res.element, res.inverse) == big.unit)

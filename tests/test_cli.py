@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from corings import GF, QQ, cli
+from corings import GF, QQ, cli, matrix_coring, regular_bicomodule, scalar_algebra
 from corings.cli import main
 from corings import io as doc_io
 from corings.comodule import NOT_ISOMORPHIC, IsoSearchResult
@@ -55,6 +55,23 @@ def test_validate_broken_counit_names_axiom(tmp_path, capsys):
     assert code == 1
     failed = [c["name"] for c in machine["checks"] if not c["ok"]]
     assert failed
+
+
+def test_comodule_document_roundtrip(tmp_path, capsys):
+    """The regular right comodule of Mc2(F2), written as a document, loads
+    back to the same coaction and validates; a zero coaction fails."""
+    M = regular_bicomodule(matrix_coring(scalar_algebra(F2), 2)).as_right
+    payload = doc_io.comodule_to_payload(M)
+    path = str(tmp_path / "comodule.json")
+    doc_io.save(path, doc_io.document("comodule", F2, payload))
+    back = doc_io.comodule_from_payload(F2, doc_io.load(path)["payload"])
+    assert back.rho == M.rho and back.rho_ambient() == M.rho_ambient()
+    code, _, machine = run(capsys, "validate", path)
+    assert code == 0 and machine["kind"] == "comodule" and machine["ok"] is True
+    payload["rho_ambient"] = [[0] * len(row) for row in payload["rho_ambient"]]
+    doc_io.save(path, doc_io.document("comodule", F2, payload))
+    code, _, machine = run(capsys, "validate", path)
+    assert code == 1 and machine["ok"] is False
 
 
 def test_malformed_rational_is_parse_error(tmp_path, capsys):
@@ -201,6 +218,35 @@ def test_exactseq_trivial(tmp_path, capsys):
     code, _, machine = run(capsys, "exactseq", cpath, "--enumerate")
     assert code == 0
     assert machine["aut"] == 1
+
+
+def _mc2_and_morphism(tmp_path, capsys, phi):
+    cpath = str(tmp_path / "mc2.json")
+    run(capsys, "build", "matrix", "-n", "2", "--field", "F2", "-o", cpath)
+    mpath = str(tmp_path / "phi.json")
+    doc_io.save(mpath, doc_io.document("morphism", F2, {"phi": phi, "rho": [[1]]}))
+    return cpath, mpath
+
+
+def test_exactseq_given_identity_morphism(tmp_path, capsys):
+    """A given list was never enumerated: MACHINE says it is not all of
+    Aut, and no budget cut it short, so no incompleteness warning."""
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    cpath, mpath = _mc2_and_morphism(tmp_path, capsys, identity)
+    code, out, machine = run(capsys, "exactseq", cpath, "--morphisms", mpath)
+    assert code == 0
+    assert machine["aut"] == 1 and machine["inn"] == 1 and machine["complete"] is False
+    assert "warning" not in out
+
+
+def test_exactseq_given_zero_morphism_is_invalid(tmp_path, capsys):
+    cpath, mpath = _mc2_and_morphism(tmp_path, capsys, [[0] * 4 for _ in range(4)])
+    capsys.readouterr()
+    code = main(["exactseq", cpath, "--morphisms", mpath])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("invalid structure: ")
+    assert "Traceback" not in err
 
 
 def test_dual_and_convinv(tmp_path, capsys):

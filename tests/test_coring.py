@@ -1,12 +1,15 @@
 """Coring axioms, morphisms, composition, and cointegral search."""
 
 import numpy as np
+import pytest
 
-from corings import (GF, QQ, AlgebraMorphism, Coring, CoringMorphism, Matrix,
-                     check_coring, check_coring_morphism, compose_morphisms,
-                     find_cointegral, group_algebra, grouplike_coalgebra, matrix_algebra,
-                     matrix_coring, scalar_algebra, trivial_coring)
+from corings import (GF, QQ, AlgebraMorphism, Coring, CoringMorphism, EntwiningStructure,
+                     Matrix, check_coring, check_coring_morphism, compose_morphisms,
+                     coring_from_entwining, find_cointegral, group_algebra,
+                     grouplike_coalgebra, matrix_algebra, matrix_coring, scalar_algebra,
+                     trivial_coring)
 from corings.algebra import Bimodule
+from corings.report import BalancednessError
 from corings.tensor import tensor_over
 
 from conftest import dual_numbers
@@ -172,3 +175,34 @@ def test_divided_power_coalgebra_has_no_cointegral():
     C = Coring(k, bim, sq.project @ damb, Matrix(QQ, [[1, 0]]), name="divided-power")
     assert check_coring(C).ok
     assert find_cointegral(C) is None
+
+
+def test_zero_carrier_is_refused():
+    """A coring needs a nonzero carrier, as grouplike_coalgebra and
+    matrix_coring need a nonempty basis; the zero bimodule, which a cotensor
+    kernel can be, stays a bimodule."""
+    k = scalar_algebra(F3)
+    zero = Bimodule(k, k, 0, [Matrix.zeros(F3, 0, 0)], [Matrix.zeros(F3, 0, 0)])
+    assert zero.validate().ok
+    with pytest.raises(ValueError, match="nonzero carrier"):
+        Coring(k, zero, Matrix.zeros(F3, 0, 0), Matrix.zeros(F3, 1, 0))
+
+
+def test_coassociativity_maps_are_kept_and_unbalanced_ones_raise():
+    C = matrix_coring(dual_numbers(F2), 2)
+    left, right = C.coassociativity_maps
+    assert C.coassociativity_maps[0] is left and C.coassociativity_maps[1] is right
+    assert left.shape == (C.cube.dim, C.square.dim)
+    assert left @ C.delta == right @ C.delta
+    # the dual numbers over F2 entwined with grouplike(2) by psi = bits 73
+    # (entry (k // 4, k % 4) is bit k): Delta is not right A-linear, and
+    # Delta (x) C does not descend to the cube
+    psi = Matrix(F2, np.array([(73 >> k) & 1 for k in range(16)]).reshape(4, 4))
+    D, rep = coring_from_entwining(EntwiningStructure(dual_numbers(F2),
+                                                      grouplike_coalgebra(2, F2), psi))
+    with pytest.raises(BalancednessError) as exc:
+        D.coassociativity_maps
+    assert exc.value.witness is not None
+    assert [c.witness for c in rep.checks if c.name == "coassociativity"] \
+        == ["ambient comultiplication is unbalanced"]
+    assert find_cointegral(D) is None

@@ -21,7 +21,7 @@ from corings.convolution import convolution_inverse
 from corings.fields import basis_vector, commute_rows, sandwich_rows
 from corings.picard import (_SCAN_CHUNK, INNER, NOT_INNER, _affine_scan,
                             _algebra_automorphisms)
-from corings.report import InvalidStructureError
+from corings.report import BalancednessError, InvalidStructureError
 from corings.unitsearch import DEFAULT_BUDGET
 
 from conftest import dual_numbers, kz2_graded
@@ -525,8 +525,11 @@ def reference_automorphisms(C, fix_rho_identity, budget):
             phi = Matrix(k, (part + null.a @ np.array(t, dtype=k.dtype)).reshape(d, d))
             if not phi.is_invertible():
                 continue
-            both = C.square.induce_or_none(phi.kron(phi), C.square)
-            if both is None or C.delta @ phi != both @ C.delta:
+            try:
+                both = C.square.induce(phi.kron(phi), C.square)
+            except BalancednessError:
+                continue
+            if C.delta @ phi != both @ C.delta:
                 continue
             found.append(CoringMorphism(C, C, phi, rho))
     return found, complete

@@ -20,6 +20,7 @@ from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix, c
                      regular_bimodule, regular_gset, scalar_algebra, tensor_chain, tensor_over,
                      twisted_bicomodule)
 from corings import cli
+from corings import io as doc_io
 from corings.report import BalancednessError
 from corings.tensor import TensorQuotient
 
@@ -121,26 +122,34 @@ def test_induced_map_balancedness_checked():
 
 
 def test_induced_map_independent_of_section():
-    """project o f o section agrees between two different pivot orders."""
+    """project o f o section agrees between two different pivot orders: the
+    quotient's chart and one eliminated with the ambient columns reversed."""
     A, _ = group_algebra([[0, 1], [1, 0]], F3)
     bim = regular_bimodule(A)
     t = tensor_over(bim, bim)
     n = t.ambient_dim
-    other = TensorQuotient([bim, bim], column_order=list(reversed(range(n))))
-    assert other.dim == t.dim
+    back = np.arange(n)[::-1]      # the reversal is its own inverse
+    kernel, free = t.relations.rearranged(lambda x: x[:, back])._kernel()
+    project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T[:, back]))
+    section = Matrix.eye(F3, n).rearranged(lambda x: x[back][:, free])
+    assert len(free) == t.dim
+    assert project @ section == Matrix.eye(F3, t.dim)
+    assert (project @ t.relations.T).is_zero()
+    assert section != t.section
     # an A-bilinear ambient endomorphism: the flip a (x) b -> b (x) a is not
     # bilinear in general; use multiplication-recombination instead
     amb = Matrix.eye(F3, n)
     ind1 = t.induce(amb, t)
     # transport through the other chart
-    chart = other.project @ t.section          # t-coords -> other-coords
-    chart_inv = t.project @ other.section
-    ind2 = chart_inv @ other.induce(amb, other) @ chart
+    chart = project @ t.section          # t-coords -> other-coords
+    chart_inv = t.project @ section
+    ind2 = chart_inv @ (project @ amb @ section) @ chart
     assert ind1 == ind2
     # and the induced actions agree across charts
+    Ir = Matrix.eye(F3, bim.dim)
     for a in range(A.dim):
-        lhs = chart_inv @ other.module.left_action[a] @ chart
-        assert lhs == t.module.left_action[a]
+        other_left = project @ bim.left_action[a].kron(Ir) @ section
+        assert chart_inv @ other_left @ chart == t.module.left_action[a]
 
 
 def test_quotient_bimodule_actions_valid():
@@ -321,9 +330,9 @@ def builds(monkeypatch):
     counts = Counter()
     init = TensorQuotient.__init__
 
-    def counted(self, factors, column_order=None):
+    def counted(self, factors):
         counts["two" if len(factors) == 2 else "chain" if len(factors) > 2 else "one"] += 1
-        init(self, factors, column_order)
+        init(self, factors)
 
     monkeypatch.setattr(TensorQuotient, "__init__", counted)
     return counts
@@ -365,6 +374,35 @@ def test_cli_builds_the_square_and_cube_once(tmp_path, capsys, builds, build, co
     builds.clear()
     assert cli.main([command[0], doc, *command[1:]]) == 0
     assert builds == {"two": 2, "chain": 1}
+    capsys.readouterr()
+
+
+@pytest.fixture
+def inductions(monkeypatch):
+    """Counts TensorQuotient.induce calls by (source, target) ambient
+    dimension."""
+    counts = Counter()
+    induce = TensorQuotient.induce
+
+    def counted(self, ambient_map, target):
+        counts[self.ambient_dim, target.ambient_dim] += 1
+        return induce(self, ambient_map, target)
+
+    monkeypatch.setattr(TensorQuotient, "induce", counted)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["cointegral", "validate"])
+def test_cli_induces_the_coassociativity_maps_once(tmp_path, capsys, inductions, command):
+    """Graded Z3/F3: find_cointegral and both re-validations of its
+    cointegral, or check_coring, read the coring's one pair of square ->
+    cube maps Delta (x) C and C (x) Delta."""
+    doc = str(tmp_path / "c.json")
+    assert cli.main(["build", "graded-coring", "--group", "3", "--field", "F3", "-o", doc]) == 0
+    d = doc_io.load(doc)["payload"]["dim"]
+    inductions.clear()
+    assert cli.main([command, doc]) == 0
+    assert inductions[d * d, d ** 3] == 2
     capsys.readouterr()
 
 
