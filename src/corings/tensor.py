@@ -50,8 +50,8 @@ class TensorQuotient:
     ``(S_head (x) I) w``, w a relation of the last step leading at the
     matching column; and every such lift is a relation.
 
-    The chart is fixed: the free columns of the relations' reduced echelon
-    form, in ambient column order; maps induced on it do not depend on it.
+    The chart is one fixed choice, the free columns of the relations' reduced
+    echelon form in ambient column order; induced maps do not depend on it.
 
     A quotient keeps of its factors only what :attr:`module` reads: the
     outer algebras, their action lists and the factor dimensions.  Keeping

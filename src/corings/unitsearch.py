@@ -2,8 +2,8 @@
 
 The element ``sum t_i b_i`` is invertible exactly when its left-multiplication
 operator is nonsingular, so everything reduces to: does a span of square
-matrices contain an invertible one?  (The operators come from one product
-with the algebra's ``left_stack``.)  The determinant of a linear combination
+matrices contain an invertible one?  Those operators are one product with
+the algebra's ``left_stack``.  The determinant of a linear combination
 is a polynomial of total degree at most D (the matrix side) in the
 coefficients, which drives the search strategy:
 
