@@ -88,11 +88,10 @@ def check_comodule(M: Comodule) -> Report:
         rb.add_all(name, ((f"{letter}-basis {alg.name_of(a)}", M.rho @ acts[a] == images[a] @ M.rho)
                           for a in range(alg.dim)))
     Im = Matrix.eye(f, M.dim)
-    Ic = Matrix.eye(f, C.dim)
     mcc = tensor_chain([M.module, C.bimodule, C.bimodule])
     try:
-        rho_c = M.mc.induce(M.rho_ambient().kron(Ic), mcc)
-        m_delta = M.mc.induce(Im.kron(C.delta_ambient), mcc)
+        rho_c = M.mc.descend(mcc.project_kron_eye(M.rho))
+        m_delta = M.mc.descend(mcc.project_eye_kron(C.delta_ambient))
         rb.add("coassociativity", rho_c @ M.rho == m_delta @ M.rho)
     except BalancednessError:
         rb.add("coassociativity", False, "ambient coaction is unbalanced")
@@ -118,8 +117,8 @@ def check_left_comodule(M: LeftComodule) -> Report:
     Im = Matrix.eye(f, M.dim)
     ccm = tensor_chain([C.bimodule, C.bimodule, M.module])
     try:
-        c_lam = M.cm.induce(Matrix.eye(f, C.dim).kron(M.lam_ambient()), ccm)
-        delta_m = M.cm.induce(C.delta_ambient.kron(Im), ccm)
+        c_lam = M.cm.descend(ccm.project_eye_kron(M.lam_ambient()))
+        delta_m = M.cm.descend(ccm.project_kron_eye(C.delta))
         rb.add("coassociativity", c_lam @ M.lam == delta_m @ M.lam)
     except BalancednessError:
         rb.add("coassociativity", False, "ambient coaction is unbalanced")
@@ -163,11 +162,10 @@ def check_bicomodule(M: Bicomodule) -> Report:
     rb.merge(check_left_comodule(M.as_left), prefix="left-")
     rb.merge(check_comodule(M.as_right), prefix="right-")
     Cp, C = M.left_coring, M.right_coring
-    f = M.field
     chain = tensor_chain([Cp.bimodule, M.module, C.bimodule])
     try:
-        lam_c = M.as_right.mc.induce(M.as_left.lam_ambient().kron(Matrix.eye(f, C.dim)), chain)
-        cp_rho = M.as_left.cm.induce(Matrix.eye(f, Cp.dim).kron(M.as_right.rho_ambient()), chain)
+        lam_c = M.as_right.mc.descend(chain.project_kron_eye(M.lam))
+        cp_rho = M.as_left.cm.descend(chain.project_eye_kron(M.as_right.rho_ambient()))
         rb.add("coactions-commute", lam_c @ M.rho == cp_rho @ M.lam)
     except BalancednessError:
         rb.add("coactions-commute", False, "ambient coaction is unbalanced")
@@ -258,13 +256,10 @@ def cotensor(M: Bicomodule, N: Bicomodule) -> CotensorResult:
     if M.right_coring is not N.left_coring:
         raise ValueError("middle corings must match")
     C = M.right_coring
-    f = M.field
     mn = tensor_over(M.module, N.module)
     mcn = tensor_chain([M.module, C.bimodule, N.module])
-    In = Matrix.eye(f, N.dim)
-    Im = Matrix.eye(f, M.dim)
-    rho_side = mn.induce(M.as_right.rho_ambient().kron(In), mcn)
-    lam_side = mn.induce(Im.kron(N.as_left.lam_ambient()), mcn)
+    rho_side = mn.descend(mcn.project_kron_eye(M.rho))
+    lam_side = mn.descend(mcn.project_eye_kron(N.as_left.lam_ambient()))
     omega = rho_side - lam_side
     kernel = omega.nullspace()
     kdim = kernel.ncols
@@ -286,17 +281,17 @@ def cotensor(M: Bicomodule, N: Bicomodule) -> CotensorResult:
     Cp, Cpp = M.left_coring, N.right_coring
     # left coaction: restrict lambda_M (x) N along C' (x) kernel -> C' M N
     chain_l = tensor_chain([Cp.bimodule, M.module, N.module])
-    lam_big = mn.induce(M.as_left.lam_ambient().kron(In), chain_l)
+    lam_big = mn.descend(chain_l.project_kron_eye(M.lam))
     t_ck = tensor_over(Cp.bimodule, kmod)
-    incl_l = t_ck.induce(Matrix.eye(f, Cp.dim).kron(mn.section @ kernel), chain_l)
+    incl_l = t_ck.descend(chain_l.project_eye_kron(mn.apply_section(kernel)))
     lam_k = incl_l.solve_matrix(lam_big @ kernel)
     if lam_k is None:
         raise KernelInvarianceError("left coaction does not restrict to the cotensor kernel")
     # right coaction: restrict M (x) rho_N along kernel (x) C'' -> M N C''
     chain_r = tensor_chain([M.module, N.module, Cpp.bimodule])
-    rho_big = mn.induce(Im.kron(N.as_right.rho_ambient()), chain_r)
+    rho_big = mn.descend(chain_r.project_eye_kron(N.as_right.rho_ambient()))
     t_kc = tensor_over(kmod, Cpp.bimodule)
-    incl_r = t_kc.induce((mn.section @ kernel).kron(Matrix.eye(f, Cpp.dim)), chain_r)
+    incl_r = t_kc.descend(chain_r.project_kron_eye(kernel))
     rho_k = incl_r.solve_matrix(rho_big @ kernel)
     if rho_k is None:
         raise KernelInvarianceError("right coaction does not restrict to the cotensor kernel")

@@ -61,10 +61,26 @@ class Coring:
 
     @cached_property
     def coassociativity_maps(self) -> tuple[Matrix, Matrix]:
-        """(Delta (x)_A C, C (x)_A Delta), square -> cube, induced from delta_ambient
-        (x) I and I (x) delta_ambient; a BalancednessError propagates, keeping nothing."""
-        I, damb, sq = Matrix.eye(self.field, self.dim), self.delta_ambient, self.square
-        return sq.induce(damb.kron(I), self.cube), sq.induce(I.kron(damb), self.cube)
+        """(Delta (x)_A C, C (x)_A Delta), square -> cube, induced from
+        delta_ambient (x) I and I (x) delta_ambient; a BalancednessError
+        propagates, keeping nothing.
+
+        Both telescope through the cube's head, the square, and form no d^3
+        row (``cube.project = P_last @ (P_sq (x) I)``):
+
+        - Delta (x) C is ``P_last @ (delta (x) I)``, since P_sq @
+          delta_ambient = delta (:meth:`TensorQuotient.project_kron_eye`);
+        - C (x) Delta is ``P_last @ R`` with R[(h, k), (i, c)] = sum_j
+          P_sq[h, (i, j)] delta_ambient[(j, k), c], one product of the
+          reshaped P_sq and delta_ambient
+          (:meth:`TensorQuotient.project_eye_kron`).
+
+        Each is then descended on the square, which checks that the ambient
+        map kills the square's relations.
+        """
+        sq, cube = self.square, self.cube
+        return (sq.descend(cube.project_kron_eye(self.delta)),
+                sq.descend(cube.project_eye_kron(self.delta_ambient)))
 
     def __repr__(self) -> str:
         return f"Coring({self.name}, dim={self.dim}, base dim {self.base.dim}, {self.field})"
@@ -185,6 +201,18 @@ class Cointegral:
         self.delta = delta  # (dim A) x (dim of the square quotient)
 
     def validate(self) -> Report:
+        """Bilinearity, delta o Delta = eps, and mixed coassociativity
+        (C (x)_A delta) o (Delta (x)_A C) = (delta (x)_A C) o (C (x)_A Delta)
+        on the square.
+
+        The two contraction maps C (x) C (x) C -> C built from delta are
+        descended to the cube as one stacked matrix: "contraction-balanced"
+        fails if either is unbalanced, and the pair is then compared on
+        section representatives.  When the coring's own coassociativity
+        maps do not descend (Delta (x) C is unbalanced), the report fails
+        "mixed-coassociativity" instead of raising, as check_coring fails
+        "coassociativity".
+        """
         rb = ReportBuilder("cointegral")
         C = self.coring
         A = C.base
@@ -195,18 +223,26 @@ class Cointegral:
         ok = all(d @ sq.module.right_action[a] == A.basis_right_mult(a) @ d for a in range(A.dim))
         rb.add("right-linear", ok)
         rb.add("splits-comultiplication", d @ C.delta == C.epsilon)
-        # C (x)_A delta and delta (x)_A C, from delta on [c' (x) c''] = d @ P2;
-        # an unbalanced pair is still compared on section representatives
+        # C (x)_A delta and delta (x)_A C, from delta on [c' (x) c''] = d @ P2,
+        # descended as one stack: an unbalanced pair is still compared on
+        # section representatives
         cube = C.cube
         dP2 = d @ sq.project
-        ambient = (C.bimodule.right_contraction(dP2), C.bimodule.left_contraction(dP2))
+        both = Matrix.vstack([C.bimodule.right_contraction(dP2),
+                              C.bimodule.left_contraction(dP2)])
         try:
-            lhs, rhs = [cube.descend(amb) for amb in ambient]
+            down = cube.descend(both)
             rb.add("contraction-balanced", True)
         except BalancednessError:
             rb.add("contraction-balanced", False)
-            lhs, rhs = [amb @ cube.section for amb in ambient]
-        dl, dr = C.coassociativity_maps
+            down = cube.restrict(both)
+        try:
+            dl, dr = C.coassociativity_maps
+        except BalancednessError:
+            rb.add("mixed-coassociativity", False, "ambient comultiplication is unbalanced")
+            return rb.build()
+        n = C.dim
+        lhs, rhs = down.rearranged(lambda x: x[:n]), down.rearranged(lambda x: x[n:])
         rb.add("mixed-coassociativity", lhs @ dl == rhs @ dr)
         return rb.build()
 
@@ -214,7 +250,12 @@ class Cointegral:
 def find_cointegral(C: Coring) -> Optional[Cointegral]:
     """Solve the (linear) cointegral equations; None when no solution exists.
 
-    Any returned cointegral re-validates exactly (see Cointegral.validate).
+    The mixed coassociativity rows read the coring's coassociativity maps
+    on section representatives of the cube: Zl from the cube's section
+    applied to Delta (x) C (a scatter into the free rows), Zr straight from
+    the last step's section applied to C (x) Delta, where P2 @ S2 = I
+    cancels the head.  No map of the cube is composed.  Any returned
+    cointegral re-validates exactly (see Cointegral.validate).
     """
     A, f = C.base, C.field
     sq = C.square
@@ -235,12 +276,14 @@ def find_cointegral(C: Coring) -> Optional[Cointegral]:
     cube = C.cube
     # P2 contracted once with the representatives: Zl[c] = (C (x) <P2 row c>)
     # of (Delta (x) C) Delta and Zr[c] = (<P2 row c> (x) C) of (C (x) Delta)
-    # Delta, each d x q2, laid out side by side as d x (q2 * q2)
-    repr_l = (cube.section @ dl).rearranged(
+    # Delta, each d x q2, laid out side by side as d x (q2 * q2).  The
+    # cube's section is (S2 (x) I) @ S_last and P2 @ S2 = I, so Zr[c] is
+    # read straight off S_last @ dr: Zr[k, (h, c)] = (S_last @ dr)[(h, k), c]
+    repr_l = cube.apply_section(dl).rearranged(
         lambda x: x.reshape(d, d * d, q2).transpose(1, 0, 2).reshape(d * d, d * q2))
-    repr_r = (cube.section @ dr).rearranged(lambda x: x.reshape(d * d, d * q2))
-    P2 = sq.project
-    Zl, Zr = (_side_by_side(P2 @ rep, d, q2) for rep in (repr_l, repr_r))
+    Zl = _side_by_side(sq.project @ repr_l, d, q2)
+    Zr = cube.last.apply_section(dr).rearranged(
+        lambda x: x.reshape(q2, d, q2).transpose(1, 0, 2).reshape(d, q2 * q2))
     # the column of unknown (r, c) is vec(R_r Zl[c] - L_r Zr[c])
     mixed = Matrix.vstack([
         _side_by_side(C.bimodule.right_action[r] @ Zl - C.bimodule.left_action[r] @ Zr, q2, q2)

@@ -63,7 +63,11 @@ Every linear condition on an unknown matrix F is assembled from
 :func:`commute_rows` (the rows of F X == Y F).  A linear combination
 sum c_a X_a of equal-shape matrices is one product of their stack, the
 columns vec(X_a) (:func:`stack_vecs`), with the coefficients
-(:func:`combine`).
+(:func:`combine`).  ``P (x) I_d`` is applied to a matrix from either side
+by one product with the matrix reshaped (:func:`kron_eye_times`,
+:func:`times_kron_eye`), never by forming the kron, and a balancing
+relation block ``X (x) I - I (x) Y`` is written in one pass
+(:func:`kron_eye_difference`).
 """
 
 from __future__ import annotations
@@ -554,6 +558,42 @@ def first_difference(X: Matrix, Y: Matrix) -> Optional[int]:
     if X == Y:
         return None
     return int(np.flatnonzero((X - Y).support().any(axis=0))[0])
+
+
+def kron_eye_difference(X: Matrix, Y: Matrix) -> Matrix:
+    """``X.kron(I_n) - I_m.kron(Y)`` for X (m x m) and Y (n x n): both
+    terms written into one array of numerators over a common denominator,
+    through its diagonal views (entries (i, j, i', j) and (i, j, i, j')),
+    and reduced once."""
+    m, n = X.nrows, Y.nrows
+    den = X.den if X.den == Y.den else math.lcm(X.den, Y.den)
+    sx, sy = den // X.den, den // Y.den
+    bound = (X.bound or 1) * sx + (Y.bound or 1) * sy
+    dtype = np.result_type(X.N, Y.N) if bound < _INT64_LIMIT else object
+    out = np.zeros((m, n, m, n), dtype=dtype)
+    np.einsum("ijkj->ijk", out)[...] = (X.N if sx == 1 else X.N.astype(dtype) * sx)[:, None, :]
+    np.einsum("ijik->ijk", out)[...] -= Y.N if sy == 1 else Y.N.astype(dtype) * sy
+    return Matrix._from_ints(X.field, out.reshape(m * n, m * n), den, bound)
+
+
+# -- P (x) I_d applied without the kron: (A (x) B) vec X = vec(A X B^T) -------
+
+def kron_eye_times(P: Matrix, X: Matrix, d: int) -> Matrix:
+    """``P.kron(I_d) @ X``: P times X read as a P.ncols x (d * X.ncols)
+    matrix, read back with X.ncols columns (Van Loan, "The ubiquitous
+    Kronecker product", J. Comput. Appl. Math. 123, 2000)."""
+    q, n, m = P.nrows, P.ncols, X.ncols
+    return (P @ X.rearranged(lambda x: x.reshape(n, d * m))).rearranged(
+        lambda x: x.reshape(q * d, m))
+
+
+def times_kron_eye(Y: Matrix, P: Matrix, d: int) -> Matrix:
+    """``Y @ P.kron(I_d)``: the rows of Y, split d ways (column (b, k) of
+    row r goes to row (r, k)), times P, and put back."""
+    m, q, n = Y.nrows, P.nrows, P.ncols
+    split = Y.rearranged(lambda y: y.reshape(m, q, d).transpose(0, 2, 1).reshape(m * d, q))
+    return (split @ P).rearranged(
+        lambda z: z.reshape(m, d, n).transpose(0, 2, 1).reshape(m, n * d))
 
 
 # -- stacks: equal-shape matrices X_a as the columns vec(X_a) of one matrix ---

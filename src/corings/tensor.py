@@ -10,7 +10,15 @@ space passes to the quotient through :meth:`TensorQuotient.descend`, which
 first checks that it kills every balancing relation.
 
 Chains of three or more factors are bracketed to the left, one pair at a
-time on the (previous quotient) x (next factor) ambient; see
+time on the (previous quotient) x (next factor) ambient, and keep their
+steps: a chain holds its head's ``project`` and its last step, and reaches
+the full ambient through the head by applying ``P_head (x) I`` to a
+reshaped operand, with no kron formed (:func:`corings.fields.kron_eye_times`).
+``induce`` into a chain, ``descend`` on it and its section applied to a
+map never compose the chain's maps, and the maps ``F (x) I`` and ``I (x)
+G`` of a coassociativity check telescope through the head without a row
+of the full ambient.  A chain's ``project`` and ``section`` are composed
+only when something reads them, which only tests do.  See
 :class:`TensorQuotient`.
 
 Every product is kept by its left operand, weakly keyed by its right
@@ -27,7 +35,8 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .algebra import Bimodule
-from .fields import Matrix, basis_vector
+from .fields import (Matrix, basis_vector, first_difference, kron_eye_difference, kron_eye_times,
+                     times_kron_eye)
 from .report import BalancednessError
 
 
@@ -36,19 +45,33 @@ class TensorQuotient:
 
     Three or more factors are bracketed to the left: ``head =
     tensor_chain(factors[:-1])`` (a cube's head is the cached square), then
-    only the relations of ``(head.module, factors[-1])`` are eliminated, on the ``head.dim *
-    d_last`` ambient, giving ``project = P_last @ (P_head (x) I)`` and
-    ``section = (S_head (x) I) @ S_last`` (no products when the head has no
-    relations, as over a base field k).  When the middle factors' actions
-    commute, as a bimodule's do, these are byte for byte the matrices of
-    eliminating every adjacent relation on the full ambient at once: both
-    have the whole balancing subspace as kernel, are the identity on their
-    free columns, and have the same free columns.  A relation leading at
-    (i, j), i a free head column, keeps that leading index while the rows
-    (reduced echelon row of the head) (x) e_j' clear its pivot head columns:
-    each is zero before its pivot, which lies after (i, j).  What is left is
-    ``(S_head (x) I) w``, w a relation of the last step leading at the
-    matching column; and every such lift is a relation.
+    only the relations of ``(head.module, factors[-1])`` are eliminated, on
+    the ``head.dim * d_last`` ambient.  The chain keeps that step as
+    :attr:`last` and the head's ``project``, but not the head, whose
+    ``products`` keep the chain; it composes none of its maps when built:
+
+    - ``project = P_last @ (P_head (x) I)``.  :meth:`apply_project` and
+      :meth:`descend` apply ``P_head (x) I`` to a reshaped operand
+      (:func:`corings.fields.kron_eye_times`), and :attr:`project` is
+      composed the same way, only when something reads it.  The maps
+      ``F (x) I`` and ``I (x) G`` that the coassociativity checks push into
+      a chain telescope through the head: :meth:`project_kron_eye` and
+      :meth:`project_eye_kron` form no ambient-wide row.
+    - ``section = (S_head (x) I) @ S_last`` is the coordinate embedding on
+      the ambient columns ``free``: ``head.free[b] * d_last + k`` for each
+      free column (b, k) of the last step.
+
+    When the head has no relations, as over a base field k, P_head is the
+    identity and is not applied.  When the middle factors' actions commute,
+    as a bimodule's do, ``project`` and ``section`` are byte for byte the
+    matrices of eliminating every adjacent relation on the full ambient at
+    once: both have the whole balancing subspace as kernel, are the identity
+    on their free columns, and have the same free columns.  A relation
+    leading at (i, j), i a free head column, keeps that leading index while
+    the rows (reduced echelon row of the head) (x) e_j' clear its pivot head
+    columns: each is zero before its pivot, which lies after (i, j).  What
+    is left is ``(S_head (x) I) w``, w a relation of the last step leading
+    at the matching column; and every such lift is a relation.
 
     The chart is one fixed choice, the free columns of the relations' reduced
     echelon form in ambient column order; induced maps do not depend on it.
@@ -62,10 +85,11 @@ class TensorQuotient:
     Attributes:
         ambient_dim: product of factor dimensions.
         dim: dimension of the quotient.
-        project: (dim x ambient_dim) quotient map.
-        section: (ambient_dim x dim) right inverse of project.
+        free: the ambient columns on which project is the identity, in
+            order; the section is the identity's columns there.
         relations: rows spanning the relations of the last pair eliminated
             (for a chain, on the ambient of its last step).
+        last: a chain's last step (None for one or two factors).
         module: the induced (leftmost, rightmost) bimodule on the quotient.
         products: the chains ``self (x) N``, weakly keyed by N.
     """
@@ -80,20 +104,19 @@ class TensorQuotient:
                 raise ValueError("inner algebras of adjacent factors must match")
         self.ambient_dim = n = int(np.prod([m.dim for m in factors]))
         self._module: Optional[Bimodule] = None
+        self._project: Optional[Matrix] = None
+        self._section: Optional[Matrix] = None
         self.products: WeakKeyDictionary = WeakKeyDictionary()
 
         if len(factors) > 2:
             head = tensor_chain(factors[:-1])
-            last = tensor_over(head.module, factors[-1])
+            self._d = d = factors[-1].dim
+            self.last = last = tensor_over(head.module, factors[-1])
             self.relations, self.dim = last.relations, last.dim
-            self.project, self.section = last.project, last.section
-            if head.dim < head.ambient_dim:
-                I = Matrix.eye(field, factors[-1].dim)
-                self.project = last.project @ head.project.kron(I)
-                self.section = head.section.kron(I) @ last.section
-            self._last = last
+            self._head_project = head.project if head.dim < head.ambient_dim else None
+            self.free = head.free[last.free // d] * d + last.free % d
             return
-        self._last = None
+        self.last = None
         first, end = factors[0], factors[-1]
         self._outer = (first.left_algebra, first.left_action,
                        end.right_algebra, end.right_action, [m.dim for m in factors])
@@ -101,35 +124,108 @@ class TensorQuotient:
         rel_blocks = []
         for M, N in zip(factors, factors[1:]):
             for a in range(M.right_algebra.dim):
-                rel = (M.right_action[a].T.kron(Matrix.eye(field, N.dim))
-                       - Matrix.eye(field, M.dim).kron(N.left_action[a].T))
+                rel = kron_eye_difference(M.right_action[a].T, N.left_action[a].T)
                 keep = rel.support().any(axis=1)
                 if keep.any():
                     rel_blocks.append(rel.rearranged(lambda x: x[keep]))
         self.relations = Matrix.vstack(rel_blocks) if rel_blocks else Matrix.zeros(field, 0, n)
 
         # the kernel basis, transposed, is the identity on the free columns
-        # and minus the echelon rows' free entries on the pivot columns; the
-        # section is the identity's free columns
+        # and minus the echelon rows' free entries on the pivot columns
         kernel, free = self.relations._kernel()
         self.dim = len(free)
-        self.project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T))
-        self.section = Matrix.eye(field, n).rearranged(lambda x: x[:, free])
+        self.free = np.array(free, dtype=np.intp)
+        self._project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T))
+
+    @property
+    def project(self) -> Matrix:
+        """(dim x ambient_dim) quotient map; a chain composes it on first read."""
+        if self._project is None:
+            P = self.last.project
+            self._project = P if self._head_project is None else \
+                times_kron_eye(P, self._head_project, self._d)
+        return self._project
+
+    @property
+    def section(self) -> Matrix:
+        """(ambient_dim x dim) right inverse of project, built on first read."""
+        if self._section is None:
+            self._section = self.apply_section(Matrix.eye(self.field, self.dim))
+        return self._section
 
     @property
     def module(self) -> Bimodule:
         """The induced (leftmost, rightmost) bimodule on the quotient; a
         chain shares the module of its last step, which has the same basis."""
-        if self._last is not None:
-            return self._last.module
+        if self.last is not None:
+            return self.last.module
         if self._module is None:
             left_alg, left, right_alg, right, dims = self._outer
             Ir = Matrix.eye(self.field, int(np.prod(dims[1:])))
             Ih = Matrix.eye(self.field, int(np.prod(dims[:-1])))
-            lact = [self.project @ L.kron(Ir) @ self.section for L in left]
-            ract = [self.project @ Ih.kron(R) @ self.section for R in right]
+            lact = [self.restrict(self.project @ L.kron(Ir)) for L in left]
+            ract = [self.restrict(self.project @ Ih.kron(R)) for R in right]
             self._module = Bimodule(left_alg, right_alg, self.dim, lact, ract)
         return self._module
+
+    # -- maps through the quotient, none of which composes a chain's maps --
+
+    def apply_project(self, X: Matrix) -> Matrix:
+        """``project @ X``; a chain applies ``P_head (x) I`` to X reshaped."""
+        if self.last is None:
+            return self.project @ X
+        if self._head_project is not None:
+            X = kron_eye_times(self._head_project, X, self._d)
+        return self.last.project @ X
+
+    def apply_section(self, Y: Matrix) -> Matrix:
+        """``section @ Y``: the rows of Y placed at the ambient rows
+        ``free``, zero elsewhere."""
+        if Y.nrows != self.dim:
+            raise ValueError("quotient map shape mismatch")
+        n, free = self.ambient_dim, self.free
+
+        def place(y):
+            out = np.zeros((n, y.shape[1]), dtype=y.dtype)
+            out[free] = y
+            return out
+
+        return Y.rearranged(place)
+
+    def project_kron_eye(self, F: Matrix) -> Matrix:
+        """``project @ (S_head @ F).kron(I)`` for a chain, F a map into its
+        head's coordinates: ``P_last @ F.kron(I)``, as P_head @ S_head = I."""
+        return self.last.project @ F.kron(Matrix.eye(self.field, self._d))
+
+    def project_eye_kron(self, G: Matrix) -> Matrix:
+        """``project @ I.kron(G)`` for a chain, G a map into the ambient of
+        its last two factors and I the identity of the others: ``P_last @
+        R`` with R[(h, k), (i, c)] = sum_j P_head[h, (i, j)] G[(j, k), c],
+        one product of P_head read as (h, i) x j with G read as j x (k, c)."""
+        d, x = self._d, G.ncols
+        mid = G.nrows // d
+        first = self.ambient_dim // (mid * d)
+        if self._head_project is None:
+            return self.last.project @ Matrix.eye(self.field, first).kron(G)
+        q = self._head_project.nrows
+        PG = self._head_project.rearranged(lambda p: p.reshape(q * first, mid)) @ \
+            G.rearranged(lambda g: g.reshape(mid, d * x))
+        return self.last.project @ PG.rearranged(
+            lambda w: w.reshape(q, first, d, x).transpose(0, 2, 1, 3).reshape(q * d, first * x))
+
+    def restrict(self, ambient_map: Matrix) -> Matrix:
+        """``ambient_map @ section``, the columns ``free`` of the map,
+        with no balance check (see :meth:`descend`)."""
+        if ambient_map.ncols != self.ambient_dim:
+            raise ValueError("ambient map shape mismatch")
+        return ambient_map.rearranged(lambda x: x[:, self.free])
+
+    def _times_project(self, Y: Matrix) -> Matrix:
+        """``Y @ project``; a chain applies ``P_head (x) I`` to Y reshaped."""
+        if self.last is None:
+            return Y @ self.project
+        Y = Y @ self.last.project
+        return Y if self._head_project is None else times_kron_eye(Y, self._head_project, self._d)
 
     # -- induced maps -----------------------------------------------------
 
@@ -144,14 +240,15 @@ class TensorQuotient:
         project`` for the first column j where the two sides differ, a
         balancing relation that M does not kill.
         """
-        down = ambient_map @ self.section
+        down = self.restrict(ambient_map)
         if self.dim < self.ambient_dim:
-            bad = np.nonzero((ambient_map - down @ self.project).support().any(axis=0))[0]
-            if bad.size:
-                e = basis_vector(self.field, self.ambient_dim, int(bad[0]))
-                witness = self.field.normalize(e - self.section @ (self.project @ e))
+            j = first_difference(ambient_map, self._times_project(down))
+            if j is not None:
+                f = self.field
+                e = basis_vector(f, self.ambient_dim, j)
+                back = self.apply_section(self.apply_project(Matrix.column(f, e)))
                 raise BalancednessError("ambient map does not descend to the quotient",
-                                        witness=witness)
+                                        witness=f.normalize(e - back.a.reshape(-1)))
         return down
 
     def induce(self, ambient_map: Matrix, target: "TensorQuotient") -> Matrix:
@@ -163,7 +260,7 @@ class TensorQuotient:
         """
         if ambient_map.shape != (target.ambient_dim, self.ambient_dim):
             raise ValueError("ambient map shape mismatch")
-        return self.descend(target.project @ ambient_map)
+        return self.descend(target.apply_project(ambient_map))
 
 
 def tensor_over(M: Bimodule, N: Bimodule) -> TensorQuotient:

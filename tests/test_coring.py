@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from corings import (GF, QQ, AlgebraMorphism, Coring, CoringMorphism, EntwiningStructure,
+from corings import (GF, QQ, AlgebraMorphism, Cointegral, Coring, CoringMorphism,
+                     EntwiningStructure,
                      Matrix, check_coring, check_coring_morphism, compose_morphisms,
                      coring_from_entwining, find_cointegral, group_algebra,
                      grouplike_coalgebra, matrix_algebra, matrix_coring, scalar_algebra,
@@ -188,21 +189,36 @@ def test_zero_carrier_is_refused():
         Coring(k, zero, Matrix.zeros(F3, 0, 0), Matrix.zeros(F3, 1, 0))
 
 
+def _unbalanced_coring():
+    """The dual numbers over F2 entwined with grouplike(2) by psi = bits 73
+    (entry (k // 4, k % 4) is bit k), and its coring report: Delta is not
+    right A-linear, and Delta (x) C does not descend to the cube."""
+    psi = Matrix(F2, np.array([(73 >> k) & 1 for k in range(16)]).reshape(4, 4))
+    return coring_from_entwining(EntwiningStructure(dual_numbers(F2),
+                                                    grouplike_coalgebra(2, F2), psi))
+
+
 def test_coassociativity_maps_are_kept_and_unbalanced_ones_raise():
     C = matrix_coring(dual_numbers(F2), 2)
     left, right = C.coassociativity_maps
     assert C.coassociativity_maps[0] is left and C.coassociativity_maps[1] is right
     assert left.shape == (C.cube.dim, C.square.dim)
     assert left @ C.delta == right @ C.delta
-    # the dual numbers over F2 entwined with grouplike(2) by psi = bits 73
-    # (entry (k // 4, k % 4) is bit k): Delta is not right A-linear, and
-    # Delta (x) C does not descend to the cube
-    psi = Matrix(F2, np.array([(73 >> k) & 1 for k in range(16)]).reshape(4, 4))
-    D, rep = coring_from_entwining(EntwiningStructure(dual_numbers(F2),
-                                                      grouplike_coalgebra(2, F2), psi))
+    D, rep = _unbalanced_coring()
     with pytest.raises(BalancednessError) as exc:
         D.coassociativity_maps
     assert exc.value.witness is not None
     assert [c.witness for c in rep.checks if c.name == "coassociativity"] \
         == ["ambient comultiplication is unbalanced"]
     assert find_cointegral(D) is None
+
+
+def test_cointegral_on_an_unbalanced_comultiplication_fails_its_report():
+    """Cointegral.validate reports a failed mixed coassociativity, as
+    check_coring reports its coassociativity, when Delta (x) C does not
+    descend to the cube; it does not raise."""
+    D, _ = _unbalanced_coring()
+    rep = Cointegral(D, Matrix.zeros(F2, D.base.dim, D.square.dim)).validate()
+    assert not rep.ok
+    assert [(c.ok, c.witness) for c in rep.checks if c.name == "mixed-coassociativity"] \
+        == [(False, "ambient comultiplication is unbalanced")]

@@ -4,14 +4,18 @@ from the section choice.
 
 Chains of three factors are built by left bracketing; ``chain_oracle``
 keeps the all-at-once construction (every adjacent balancing family on the
-full k-tensor product, one elimination) as their referee."""
+full k-tensor product, one elimination) as their referee, and ``_eager``
+the composition ``P_last @ (P_head (x) I)``, ``(S_head (x) I) @ S_last`` as
+the referee of the maps a chain applies through its head."""
 
 import gc
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix, check_coring,
                      coring_from_entwining, cotensor, cyclic_group, enumerate_automorphisms,
@@ -21,6 +25,8 @@ from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix, c
                      twisted_bicomodule)
 from corings import cli
 from corings import io as doc_io
+from corings.fields import (basis_vector, first_difference, kron_eye_difference, kron_eye_times,
+                            times_kron_eye)
 from corings.report import BalancednessError
 from corings.tensor import TensorQuotient
 
@@ -259,6 +265,20 @@ def _comodule_chain(C, side):
     return factors, tensor_chain(factors)
 
 
+def _twisted_chain(which):
+    """A chain that check_bicomodule ("bicomodule") or cotensor ("mcn",
+    "left", "right") reads for M = N the twist of graded Z2/F3 by an
+    automorphism whose rho is not the identity, so M's module is not C's
+    carrier."""
+    C = _graded(2, F3)
+    M = twisted_bicomodule(_moved(C)[0])
+    cotensor(M, M)
+    m, c = M.module, C.bimodule
+    factors = {"bicomodule": [c, m, c], "mcn": [m, c, m], "left": [c, m, m],
+               "right": [m, m, c]}[which]
+    return factors, tensor_chain(factors)
+
+
 # each case returns its factors and its chain, built through the library's
 # own call site
 CHAINS = {
@@ -266,6 +286,8 @@ CHAINS = {
     **{f"{name} cube": (lambda C=C: _cube(C())) for name, C in CORINGS.items()},
     **{f"{name} {side}": (lambda C=C, side=side: _comodule_chain(C(), side))
        for side in ("mcc", "ccm") for name, C in CORINGS.items()},
+    **{f"graded Z2/F3 twist {which}": (lambda which=which: _twisted_chain(which))
+       for which in ("bicomodule", "mcn", "left", "right")},
 }
 
 
@@ -279,6 +301,86 @@ def test_left_bracketed_chain_matches_all_at_once(build):
     got = chain.module
     assert all(_same(x, y) for x, y in zip(got.left_action, module.left_action))
     assert all(_same(x, y) for x, y in zip(got.right_action, module.right_action))
+
+
+def _eager(factors, chain):
+    """The chain's project and section composed with the krons:
+    ``P_last @ (P_head (x) I)`` and ``(S_head (x) I) @ S_last``."""
+    head = tensor_chain(factors[:-1])
+    I = Matrix.eye(chain.field, factors[-1].dim)
+    return chain.last.project @ head.project.kron(I), head.section.kron(I) @ chain.last.section
+
+
+def _random(field, rows, cols, rng):
+    """A seeded matrix; over Q its entries have denominators up to 3."""
+    if field == QQ:
+        return Matrix(QQ, np.array([[Fraction(int(x), int(y)) for x, y in row] for row in
+                                    rng.integers([-3, 1], [4, 4], size=(rows, cols, 2))],
+                                   dtype=object).reshape(rows, cols))
+    return Matrix(field, rng.integers(0, field.p, size=(rows, cols)))
+
+
+@pytest.mark.parametrize("build", CHAINS.values(), ids=CHAINS.keys())
+def test_chain_maps_through_the_head_match_the_eager_composition(build):
+    """Every map a chain applies through its head, and its lazily composed
+    project and section, equal the eager kron composition."""
+    factors, chain = build()
+    P, S = _eager(factors, chain)
+    f, n, q = chain.field, chain.ambient_dim, chain.dim
+    rng = np.random.default_rng(n + q)
+    X, Y, Z, noise = (_random(f, *shape, rng) for shape in ((n, 3), (q, 2), (2, q), (2, n)))
+    assert _same(chain.apply_project(X), P @ X)
+    assert _same(chain.apply_section(Y), S @ Y)
+    assert _same(chain.restrict(noise), noise @ S)
+    assert _same(chain.descend(Z @ P), Z @ P @ S)
+    bad = Z @ P + noise
+    j = first_difference(bad, bad @ S @ P)
+    assert (j is None) == (q == n)
+    if j is not None:
+        with pytest.raises(BalancednessError) as exc:
+            chain.descend(bad)
+        e = basis_vector(f, n, j)
+        want = f.normalize(e - S @ (P @ e))
+        assert exc.value.witness.tolist() == want.tolist()
+    assert _same(chain.project, P)
+    assert _same(chain.section, S)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kron_eye_helpers_match_an_explicit_kron(data):
+    """(P (x) I_d) @ X and Y @ (P (x) I_d), applied to reshaped operands,
+    and the relation block A (x) I - I (x) B, against the krons
+    themselves, over F2, F3, Q with denominators and F_p past 2^20, whose
+    residues are Python ints."""
+    f = data.draw(st.sampled_from([F2, F3, QQ, GF(2**31 - 1)]), label="field")
+    q, n, m = (data.draw(st.integers(0, 3)) for _ in range(3))
+    d = data.draw(st.integers(1, 3), label="d")
+    if f == QQ:
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        entries = st.integers(0, f.p - 1)
+
+    def matrix(rows, cols):
+        cells = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(f, np.array(cells, dtype=object).reshape(rows, cols))
+
+    P, X, Y = matrix(q, n), matrix(n * d, m), matrix(m, q * d)
+    E = P.kron(Matrix.eye(f, d))
+    assert _same(kron_eye_times(P, X, d), E @ X)
+    assert _same(times_kron_eye(Y, P, d), Y @ E)
+    A, B = matrix(n, n), matrix(d, d)
+    assert _same(kron_eye_difference(A, B),
+                 A.kron(Matrix.eye(f, d)) - Matrix.eye(f, n).kron(B))
+
+
+def test_relation_block_scales_past_int64_in_python_ints():
+    """Numerators scaled to the common denominator 12 pass 2^63, so the
+    block is built in Python ints, not wrapped in int64."""
+    X = Matrix(QQ, [[Fraction(2**61, 3), 1], [0, 1]])
+    Y = Matrix(QQ, [[Fraction(1, 4), 2**60], [1, 0]])
+    assert _same(kron_eye_difference(X, Y),
+                 X.kron(Matrix.eye(QQ, 2)) - Matrix.eye(QQ, 2).kron(Y))
 
 
 @pytest.mark.parametrize("name", ["Mc2(F2[t]/t^2)", "graded Z2/F3"])
@@ -377,32 +479,51 @@ def test_cli_builds_the_square_and_cube_once(tmp_path, capsys, builds, build, co
     capsys.readouterr()
 
 
+def test_cli_validate_makes_no_cube_wide_matrix(tmp_path, capsys, monkeypatch):
+    """validate on graded Z3/F3 (d = 9) reaches the cube through its head,
+    the square, so no matrix it makes has d^3 = 729 rows or columns."""
+    doc = str(tmp_path / "c.json")
+    assert cli.main(["build", "graded-coring", "--group", "3", "--field", "F3", "-o", doc]) == 0
+    shapes = []
+    made = Matrix._from_ints
+
+    def recorded(field, N, *args):
+        shapes.append(N.shape)
+        return made(field, N, *args)
+
+    monkeypatch.setattr(Matrix, "_from_ints", staticmethod(recorded))
+    assert cli.main(["validate", doc]) == 0
+    assert shapes and max(max(shape) for shape in shapes) < 9 ** 3
+    capsys.readouterr()
+
+
 @pytest.fixture
-def inductions(monkeypatch):
-    """Counts TensorQuotient.induce calls by (source, target) ambient
-    dimension."""
+def descents(monkeypatch):
+    """Counts TensorQuotient.descend calls by (ambient dimension, rows of
+    the map)."""
     counts = Counter()
-    induce = TensorQuotient.induce
+    descend = TensorQuotient.descend
 
-    def counted(self, ambient_map, target):
-        counts[self.ambient_dim, target.ambient_dim] += 1
-        return induce(self, ambient_map, target)
+    def counted(self, ambient_map):
+        counts[self.ambient_dim, ambient_map.nrows] += 1
+        return descend(self, ambient_map)
 
-    monkeypatch.setattr(TensorQuotient, "induce", counted)
+    monkeypatch.setattr(TensorQuotient, "descend", counted)
     return counts
 
 
 @pytest.mark.parametrize("command", ["cointegral", "validate"])
-def test_cli_induces_the_coassociativity_maps_once(tmp_path, capsys, inductions, command):
+def test_cli_induces_the_coassociativity_maps_once(tmp_path, capsys, descents, command):
     """Graded Z3/F3: find_cointegral and both re-validations of its
     cointegral, or check_coring, read the coring's one pair of square ->
-    cube maps Delta (x) C and C (x) Delta."""
+    cube maps Delta (x) C and C (x) Delta, each descended once on the
+    square."""
     doc = str(tmp_path / "c.json")
     assert cli.main(["build", "graded-coring", "--group", "3", "--field", "F3", "-o", doc]) == 0
-    d = doc_io.load(doc)["payload"]["dim"]
-    inductions.clear()
+    C = doc_io.coring_from_payload(F3, doc_io.load(doc)["payload"])
+    descents.clear()
     assert cli.main([command, doc]) == 0
-    assert inductions[d * d, d ** 3] == 2
+    assert descents[C.dim ** 2, C.cube.dim] == 2
     capsys.readouterr()
 
 
