@@ -8,7 +8,10 @@ d x d^2, whose column i*d + j is e_i e_j, so that x y = mu (x (x) y).
 Bimodules store one action matrix per algebra basis vector on each side,
 and stack them as the columns vec(X_a) of one matrix; they contract
 algebra-valued maps against either side (:meth:`Bimodule.right_contraction`,
-:meth:`Bimodule.left_contraction`).
+:meth:`Bimodule.left_contraction`).  An algebra chooses a generating set
+once (:meth:`Algebra.generators`), and a bimodule checks once per side
+that its action is a representation on the generators' words
+(:func:`represents`), which is what balancing over generators needs.
 
 Products of elements, the action of an element, and every axiom audit are
 :class:`~corings.fields.Matrix` products and identities, so field arithmetic
@@ -27,8 +30,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .fields import (FieldSpec, Matrix, as_vector, combine, commute_rows, sandwich_rows,
-                     stack_vecs, unstack)
+from .fields import (FieldSpec, Matrix, as_vector, basis_vector, combine, commute_rows,
+                     sandwich_rows, stack_vecs, unstack)
 from .report import InvalidStructureError, Report, ReportBuilder
 
 
@@ -55,6 +58,7 @@ class Algebra:
         self.right_stack = self.mu.rearranged(lambda x: x.reshape(d * d, d))
         self._lmul = unstack(self.left_stack, (d, d))
         self._rmul = unstack(self.right_stack, (d, d))
+        self._generators: Optional[tuple[int, ...]] = None
 
     def multiply(self, x, y) -> np.ndarray:
         """x y = mu (x (x) y)."""
@@ -74,6 +78,39 @@ class Algebra:
 
     def basis_right_mult(self, i: int) -> Matrix:
         return self._rmul[i]
+
+    def generators(self) -> tuple[int, ...]:
+        """The basis indices of a generating set, chosen greedily: each basis
+        vector outside the span of the words in the generators chosen so far
+        is added.
+
+        The words are the unit and the products g_1 (g_2 (... (g_k x))), x
+        the unit or a generator, so their span is the smallest subspace
+        that holds the unit and the generators and is closed under left
+        multiplication by the generators; for a unital associative algebra
+        it is the subalgebra they generate.  The choice is deterministic and
+        computed once."""
+        if self._generators is None:
+            f, d = self.field, self.dim
+            rows = Matrix.from_rows(f, [self.unit])
+            rank, chosen = rows.rank(), []
+            for i in range(d):
+                grown = Matrix.vstack([rows, Matrix.from_rows(f, [basis_vector(f, d, i)])])
+                if grown.rank() == rank:
+                    continue
+                chosen.append(i)
+                rows, rank = grown, rank + 1
+                # close the span under left multiplication by every generator:
+                # the row v goes to (g v)^T = v^T L_g^T
+                while True:
+                    E, piv = Matrix.vstack([rows] + [rows @ self._lmul[g].T
+                                                     for g in chosen]).rref()
+                    if len(piv) == rank:
+                        break
+                    rank = len(piv)
+                    rows = E.submatrix(range(rank), range(d))
+            self._generators = tuple(chosen)
+        return self._generators
 
     def element_inverse(self, x) -> Optional[np.ndarray]:
         """Two-sided inverse of an element, or None.
@@ -244,6 +281,18 @@ class Bimodule:
         """The right actions as the columns vec(R_a) of one dim^2 x (dim A) matrix."""
         return stack_vecs(self.right_action)
 
+    @cached_property
+    def left_is_representation(self) -> bool:
+        """Whether L_1 = I and L_(g b) = L_g L_b for every generator g of B
+        and basis vector b (:func:`represents`), checked once."""
+        return represents(self.left_algebra, self.dim, self.left_action, right=False)
+
+    @cached_property
+    def right_is_representation(self) -> bool:
+        """Whether R_1 = I and R_(g b) = R_b R_g for every generator g of A
+        and basis vector b (:func:`represents`), checked once."""
+        return represents(self.right_algebra, self.dim, self.right_action, right=True)
+
     def left_act(self, a) -> Matrix:
         return combine(self.left_stack, a, (self.dim, self.dim))
 
@@ -290,6 +339,44 @@ def _products(Xs: Sequence[Matrix], Ys: Sequence[Matrix], swap: bool = False) ->
     axes = (1, 3, 2, 0) if swap else (1, 3, 0, 2)
     return (Matrix.vstack(Xs) @ Matrix.hstack(Ys)).rearranged(
         lambda x: x.reshape(m1, n, m2, n).transpose(axes).reshape(n * n, m1 * m2))
+
+
+def represents(A: Algebra, dim: int, action: Sequence[Matrix], right: bool) -> bool:
+    """Whether the action matrices X_a (a basis index of A) pass the
+    generator-word check: X_1 = I and X_(g b) = X_g X_b for every generator
+    g of A (:meth:`Algebra.generators`) and basis vector b, with the product
+    reversed (X_b X_g) for a right action.
+
+    For an associative unital A this holds exactly when a -> X_a is a
+    representation (anti-representation on the right), i.e. when the unit
+    and associativity rows of :meth:`Bimodule.validate` pass.  A
+    representation passes.  Conversely, the set S of a with X_(ab) = X_a X_b
+    for all b is a subspace; it holds 1, as X_(1 b) = X_b = X_1 X_b; and it
+    is closed under left multiplication by a generator g, as for a in S
+    X_((ga)b) = X_(g(ab)) = X_g X_(ab) = X_g X_a X_b = X_(ga) X_b.  So S
+    holds every word in the generators, and the words span A.  (The right
+    case is the same with every product reversed.)
+
+    Each X_(g b) = sum_r (g e_b)_r X_r runs over the nonzero coefficients
+    only, so no stack of the action matrices is formed.
+    """
+    f = A.field
+
+    def image(coeffs) -> Matrix:
+        out = Matrix.zeros(f, dim, dim)
+        for r in np.flatnonzero(coeffs != 0):
+            out = out + (action[r] if coeffs[r] == 1 else action[r].scale(coeffs[r]))
+        return out
+
+    if image(A.unit) != Matrix.eye(f, dim):
+        return False
+    for g in A.generators():
+        words = A.basis_left_mult(g).a       # column b holds g e_b
+        for b in range(A.dim):
+            want = action[b] @ action[g] if right else action[g] @ action[b]
+            if image(words[:, b]) != want:
+                return False
+    return True
 
 
 def regular_bimodule(A: Algebra) -> Bimodule:

@@ -1,13 +1,17 @@
 """Tensor products over a (noncommutative) base algebra as explicit quotients.
 
 ``M (x)_A N`` is realised as the quotient of the k-tensor product by the
-balancing subspace span{(m.a)(x)n - m(x)(a.n)}.  A quotient carries a
-``project`` matrix (ambient -> quotient) and a ``section`` (quotient ->
-ambient, a right inverse of project) built from the reduced row echelon
-form of the relation matrix: sections are coordinate embeddings on the
-non-pivot columns, so bases are deterministic.  A map on the ambient
-space passes to the quotient through :meth:`TensorQuotient.descend`, which
-first checks that it kills every balancing relation.
+balancing subspace span{(m.a)(x)n - m(x)(a.n)}, a ranging over A.  When M's
+right action and N's left action pass the generator-word check, the blocks
+of a generating set of A already span it, and only theirs are written
+(:func:`balancing_basis`); otherwise, as for invalid structures, the block
+of every basis vector is.  A quotient carries a ``project`` matrix
+(ambient -> quotient) and a ``section`` (quotient -> ambient, a right
+inverse of project) built from the reduced row echelon form of the
+relation matrix: sections are coordinate embeddings on the non-pivot
+columns, so bases are deterministic.  A map on the ambient space passes to
+the quotient through :meth:`TensorQuotient.descend`, which first checks
+that it kills every balancing relation.
 
 Chains of three or more factors are bracketed to the left, one pair at a
 time on the (previous quotient) x (next factor) ambient, and keep their
@@ -42,6 +46,12 @@ from .report import BalancednessError
 
 class TensorQuotient:
     """Quotient of M_1 (x)_k ... (x)_k M_r by adjacent balancing relations.
+
+    Two factors M, N are eliminated on the relations
+    ``R_a^T (x) I - I (x) L_a^T`` (rows (m.a)(x)n - m(x)(a.n)) for a in
+    :func:`balancing_basis`: the generators of A when both actions pass the
+    generator-word check, else every basis vector; the row space, and so
+    every matrix below, is the same either way.
 
     Three or more factors are bracketed to the left: ``head =
     tensor_chain(factors[:-1])`` (a cube's head is the cached square), then
@@ -88,7 +98,8 @@ class TensorQuotient:
         free: the ambient columns on which project is the identity, in
             order; the section is the identity's columns there.
         relations: rows spanning the relations of the last pair eliminated
-            (for a chain, on the ambient of its last step).
+            (for a chain, on the ambient of its last step): the nonzero rows
+            of the blocks of :func:`balancing_basis`.
         last: a chain's last step (None for one or two factors).
         module: the induced (leftmost, rightmost) bimodule on the quotient.
         products: the chains ``self (x) N``, weakly keyed by N.
@@ -123,7 +134,7 @@ class TensorQuotient:
 
         rel_blocks = []
         for M, N in zip(factors, factors[1:]):
-            for a in range(M.right_algebra.dim):
+            for a in balancing_basis(M, N):
                 rel = kron_eye_difference(M.right_action[a].T, N.left_action[a].T)
                 keep = rel.support().any(axis=1)
                 if keep.any():
@@ -261,6 +272,37 @@ class TensorQuotient:
         if ambient_map.shape != (target.ambient_dim, self.ambient_dim):
             raise ValueError("ambient map shape mismatch")
         return self.descend(target.apply_project(ambient_map))
+
+
+def balancing_basis(M: Bimodule, N: Bimodule) -> Sequence[int]:
+    """The basis vectors a of A whose blocks (m.a)(x)n - m(x)(a.n) span the
+    balancing subspace of M (x)_A N: the generators of A
+    (:meth:`~corings.algebra.Algebra.generators`) when M's right action and
+    N's left action pass the generator-word check
+    (:func:`~corings.algebra.represents`), else every basis vector.
+
+    The generators suffice, for any structure constants.  The set T of a
+    whose block lies in the span W of the generators' blocks is a subspace.
+    It holds the generators, and the unit, whose block R_1 (x) I - I (x) L_1
+    is zero.  And it is closed under left multiplication by a generator g,
+    as m.(gw) = (m.g).w and (gw).n = g.(w.n) by the check: for w in T,
+
+        m.(gw) (x) n - m (x) (gw).n
+            = [(m.g).w (x) n - (m.g) (x) w.n] + [(m.g) (x) w.n - m (x) g.(w.n)],
+
+    the first bracket w's block at (m.g) (x) n and the second g's block at
+    m (x) w.n, both in W.  So T holds every word in the generators, and
+    the words span A.  The row space is the same, so the reduced echelon
+    form, ``free`` and ``project`` are those of every basis vector's block.
+
+    Over an algebra of dimension at most 2 a generating set drops at most
+    one block, the unit's when that is a basis vector, so neither the
+    generators nor the actions are looked at.
+    """
+    A = M.right_algebra
+    if A.dim > 2 and M.right_is_representation and N.left_is_representation:
+        return A.generators()
+    return range(A.dim)
 
 
 def tensor_over(M: Bimodule, N: Bimodule) -> TensorQuotient:

@@ -476,3 +476,85 @@ def test_bimodule_report_matches_the_loop(data):
 def test_bialgebra_report_matches_the_loop(data):
     H = data.draw(bialgebras())
     assert str(H.validate()) == str(loop_bialgebra_report(H))
+
+
+# -- generators and the generator-word check -----------------------------------
+
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("A, want", [
+    (scalar_algebra(F3), ()),
+    (dual_numbers(F2), (1,)),
+    (group_algebra(cyclic_group(5), F5)[0], (1,)),
+    (group_algebra(cyclic_group(4), QQ)[0], (1,)),
+    (group_algebra(KLEIN, F3)[0], (1, 2)),
+    (group_algebra(s3_table(), QQ)[0], (1, 2)),
+    (matrix_algebra(F2, 2), (0, 1, 2)),
+], ids=["k", "F2[t]/t^2", "F5[Z5]", "Q[Z4]", "F3[Z2xZ2]", "Q[S3]", "M2(F2)"])
+def test_generators_of_known_algebras(A, want):
+    assert A.generators() == want
+    assert A.generators() is A.generators()
+
+
+def words_span(A, gens):
+    """The dimension of the span of the unit and gens closed under left
+    multiplication by gens, by the loop multiplication."""
+    f = A.field
+    span = [as_vector(f, A.unit)] + [basis_vector(f, A.dim, g) for g in gens]
+    while True:
+        grown = span + [loop_multiply(A, basis_vector(f, A.dim, g), v) for g in gens
+                        for v in span]
+        rank = Matrix(f, np.array(grown, dtype=object).reshape(len(grown), A.dim)).rank()
+        if rank == Matrix(f, np.array(span, dtype=object).reshape(len(span), A.dim)).rank():
+            return rank
+        span = grown
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generator_words_span_the_algebra(data):
+    """On random structures too: the words in the chosen generators span A,
+    and each generator lies outside the words in those chosen before it."""
+    A = data.draw(algebras())
+    gens = A.generators()
+    assert words_span(A, gens) == A.dim
+    for k, g in enumerate(gens):
+        assert words_span(A, gens[:k]) < words_span(A, gens[:k] + (g,))
+
+
+@st.composite
+def valid_bimodules(draw):
+    """Bimodules over valid algebras, in a random basis or not: the regular
+    one or a random-basis copy of it, perhaps with one action entry
+    overwritten, or random actions."""
+    f = draw(st.sampled_from(FIELDS))
+    A = draw(st.sampled_from(VALID))(f)
+    if draw(st.booleans()):
+        A = rebased(A, *change_of_basis(draw, f, A.dim))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        return Bimodule(A, A, n, [matrices(draw, f, n, n) for _ in range(A.dim)],
+                        [matrices(draw, f, n, n) for _ in range(A.dim)])
+    reg = regular_bimodule(A)
+    P, Pinv = change_of_basis(draw, f, A.dim)
+    left = [Pinv @ X @ P for X in reg.left_action]
+    right = [Pinv @ X @ P for X in reg.right_action]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from((left, right)))
+        i = draw(st.integers(0, A.dim - 1))
+        side[i] = Matrix(f, tampered(draw, f, side[i].a))
+    return Bimodule(A, A, A.dim, left, right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generator_check_agrees_with_the_full_audit(data):
+    """Over an associative unital algebra the generator-word check of each
+    side passes exactly when that side's unit and associativity rows of
+    Bimodule.validate pass."""
+    M = data.draw(valid_bimodules())
+    rep = M.validate()
+    for side in ("left", "right"):
+        full = rep.check(f"{side}-unit").ok and rep.check(f"{side}-associativity").ok
+        assert getattr(M, f"{side}_is_representation") == full

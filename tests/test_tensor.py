@@ -9,6 +9,7 @@ the composition ``P_last @ (P_head (x) I)``, ``(S_head (x) I) @ S_last`` as
 the referee of the maps a chain applies through its head."""
 
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -611,3 +612,195 @@ def test_twist_with_rho_not_identity_gets_its_own_module():
     for f in moved:
         tw = twisted_bicomodule(f)
         assert tw.module.left_action != C.bimodule.left_action
+
+
+# -- balancing over algebra generators -----------------------------------------
+
+def _every_basis(M, N):
+    """The free columns and project of M (x)_A N from the relation blocks of
+    every basis vector of A, in one elimination: the referee of balancing
+    over generators."""
+    blocks = [kron_eye_difference(M.right_action[a].T, N.left_action[a].T)
+              for a in range(M.right_algebra.dim)]
+    relations = Matrix.vstack(blocks) if blocks else Matrix.zeros(M.field, 0, M.dim * N.dim)
+    kernel, free = relations._kernel()
+    return free, kernel.T, relations
+
+
+def _last_pair(build):
+    factors, _ = build()
+    return tensor_chain(factors[:-1]).module, factors[-1]
+
+
+def _power_pair(C, power):
+    return (C.bimodule if power == "square" else C.square.module), C.bimodule
+
+
+def _regular_pair(A):
+    bim = regular_bimodule(A)
+    return bim, bim
+
+
+# every case returns the two factors (M, N) of one balanced product
+PAIRS = {
+    **{f"{name} last step": (lambda build=build: _last_pair(build))
+       for name, build in CHAINS.items()},
+    **{f"graded Z{n}/F{p} square": (lambda n=n, p=p: _power_pair(_graded(n, GF(p)), "square"))
+       for n in range(2, 6) for p in (2, 3, 5)},
+    **{f"graded Z{n}/F{p} cube": (lambda n=n, p=p: _power_pair(_graded(n, GF(p)), "cube"))
+       for n in range(2, 5) for p in (2, 3, 5)},
+    "graded Z3/Q square": lambda: _power_pair(_graded(3, QQ), "square"),
+    "graded Z3/Q cube": lambda: _power_pair(_graded(3, QQ), "cube"),
+    "Q[Z3] regular": lambda: _regular_pair(_kz(3, QQ)),
+    "Q[Z4] regular": lambda: _regular_pair(_kz(4, QQ)),
+    **{f"F{p}[Z3] regular": (lambda p=p: _regular_pair(_kz(3, GF(p)))) for p in (2, 3, 5)},
+    "M2(F2) regular": lambda: _regular_pair(matrix_algebra(F2, 2)),
+    "M2(F3) regular": lambda: _regular_pair(matrix_algebra(F3, 2)),
+}
+
+
+def _assert_generators_suffice(M, N):
+    free, project, every = _every_basis(M, N)
+    got = TensorQuotient([M, N])
+    assert got.free.tolist() == free
+    assert _same(got.project, project)
+    A = M.right_algebra
+    if A.dim > 2 and M.right_is_representation and N.left_is_representation:
+        assert got.relations.nrows < every.nrows
+    else:
+        assert got.relations.nrows == every.support().any(axis=1).sum()
+
+
+@pytest.mark.parametrize("name", PAIRS.keys())
+def test_generator_relations_match_every_basis_relation(name):
+    """The blocks of the generators of A span the balancing subspace: the
+    free columns are those of every basis vector's block, and project is
+    byte for byte the same."""
+    _assert_generators_suffice(*PAIRS[name]())
+
+
+def _rebased(M, P, side):
+    """M with the actions on one side conjugated by P: an isomorphic
+    one-sided module (the other side is left as it is, and is not read)."""
+    Pinv = P.inverse()
+    actions = [Pinv @ X @ P for X in getattr(M, side)]
+    left = actions if side == "left_action" else [Matrix.eye(M.field, M.dim)] * \
+        M.left_algebra.dim
+    right = actions if side == "right_action" else [Matrix.eye(M.field, M.dim)] * \
+        M.right_algebra.dim
+    return Bimodule(M.left_algebra, M.right_algebra, M.dim, left, right)
+
+
+# the small cases of PAIRS, each drawn by the hypothesis test below
+SMALL = ["graded Z2/F3 square", "graded Z3/F2 square", "graded Z3/F3 square",
+         "graded Z4/F2 square", "Q[Z3] regular", "Q[Z4] regular", "F2[Z3] regular",
+         "F5[Z3] regular", "M2(F2) regular", "M2(F3) regular",
+         "F3[Z2] regular last step", "Mc2(F3[Z2]) cube last step"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generator_relations_match_after_a_change_of_basis(data):
+    """Random bases of both factors, and one action entry perhaps
+    overwritten (so that the check fails and every basis vector is kept):
+    the two sets of relations give the same quotient."""
+    M, N = PAIRS[data.draw(st.sampled_from(SMALL), label="case")]()
+    f = M.field
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    twisted = []
+    for X, side in ((M, "right_action"), (N, "left_action")):
+        P = _random(f, X.dim, X.dim, rng)
+        if not P.is_invertible():
+            P = Matrix.eye(f, X.dim)
+        X = _rebased(X, P, side)
+        if data.draw(st.booleans(), label=f"tamper {side}"):
+            actions = list(getattr(X, side))
+            a = data.draw(st.integers(0, len(actions) - 1), label="which")
+            tampered = actions[a].a.copy()
+            tampered[0, -1] = f.scalar(1) + tampered[0, -1]
+            actions[a] = Matrix(f, tampered)
+            X = Bimodule(X.left_algebra, X.right_algebra, X.dim,
+                         actions if side == "left_action" else X.left_action,
+                         actions if side == "right_action" else X.right_action)
+        twisted.append(X)
+    _assert_generators_suffice(*twisted)
+
+
+def test_non_associative_right_action_keeps_every_basis_relation():
+    """F3[Z3] with g^2 acting on the right as g does: the generator g's
+    block alone would give a larger quotient, so the check fails and the
+    quotient is the one of every basis vector's block."""
+    A = _kz(3, F3)
+    reg = regular_bimodule(A)
+    right = list(reg.right_action)
+    right[2] = right[1]
+    M = Bimodule(A, A, A.dim, reg.left_action, right)
+    assert not M.right_is_representation and reg.left_is_representation
+    free, project, every = _every_basis(M, reg)
+    got = TensorQuotient([M, reg])
+    assert got.free.tolist() == free and _same(got.project, project)
+    assert _same(got.relations, every.rearranged(lambda x: x[(x != 0).any(axis=1)]))
+    only_g = kron_eye_difference(M.right_action[1].T, reg.left_action[1].T)
+    assert only_g.rank() < every.rank()
+
+
+@pytest.fixture
+def generator_work(monkeypatch):
+    """Counts Algebra.generators() calls and generator-word checks."""
+    from corings import algebra
+    counts = Counter()
+    generators, represents = algebra.Algebra.generators, algebra.represents
+
+    def counted_generators(self):
+        counts["generators"] += 1
+        return generators(self)
+
+    def counted_represents(*args, **kwargs):
+        counts["represents"] += 1
+        return represents(*args, **kwargs)
+
+    monkeypatch.setattr(algebra.Algebra, "generators", counted_generators)
+    monkeypatch.setattr(algebra, "represents", counted_represents)
+    return counts
+
+
+NO_GAIN = {"kZ3/F2": lambda: grouplike_coalgebra(3, F2),
+           "Mc2(F2[t]/t^2)": CORINGS["Mc2(F2[t]/t^2)"],
+           "entwined psi seed 0": CORINGS["entwined psi seed 0"],
+           **{f"graded Z2/{f}": (lambda f=f: _graded(2, f)) for f in (F2, F3, QQ)}}
+
+
+@pytest.mark.parametrize("name", NO_GAIN.keys())
+def test_no_generator_work_where_it_cannot_gain(generator_work, name):
+    """Over k, F2[t]/t^2 and k[Z2] a generating set could drop only the
+    unit's block, so building the square and the cube computes no
+    generators and runs no representation check."""
+    C = NO_GAIN[name]()
+    assert C.base.dim <= 2
+    C.square, C.cube
+    assert not generator_work
+
+
+def test_generator_checks_run_once_per_side(generator_work):
+    """Graded Z3/F3's square and cube read the generators of F3[Z3] and run
+    one check per side that a product reads: the carrier's two sides and
+    the square's right side, however often the cube is asked for."""
+    C = _graded(3, F3)
+    C.square, C.cube, tensor_chain([C.bimodule] * 3), C.cube
+    assert generator_work["represents"] == 3 and generator_work["generators"] > 0
+
+
+def test_cube_last_step_holds_few_relation_blocks():
+    """Graded Z4/F2's cube: the last step's ambient is 64 * 16 = 1024, so a
+    relation block over int64 is 8 MB; its build stays below six of them
+    (it held 85 MB with one block per basis vector of F2[Z4])."""
+    C = _graded(4, F2)
+    M = C.square.module
+    block = 1024 * 1024 * 8
+    tracemalloc.start()
+    try:
+        TensorQuotient([M, C.bimodule])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * block
