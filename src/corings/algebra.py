@@ -92,23 +92,23 @@ class Algebra:
         computed once."""
         if self._generators is None:
             f, d = self.field, self.dim
-            rows = Matrix.from_rows(f, [self.unit])
-            rank, chosen = rows.rank(), []
+            rows, piv = Matrix.from_rows(f, [self.unit]).rref()
+            rows, chosen = rows.rearranged(lambda x: x[:len(piv)]), []
             for i in range(d):
-                grown = Matrix.vstack([rows, Matrix.from_rows(f, [basis_vector(f, d, i)])])
-                if grown.rank() == rank:
+                # the reduced rows hold e_i iff the row leading at i is e_i
+                if i in piv and np.count_nonzero(rows.a[piv.index(i)]) == 1:
                     continue
                 chosen.append(i)
-                rows, rank = grown, rank + 1
-                # close the span under left multiplication by every generator:
-                # the row v goes to (g v)^T = v^T L_g^T
+                rows = Matrix.vstack([rows, Matrix.from_rows(f, [basis_vector(f, d, i)])])
+                # close the span under left multiplication by every generator
+                # (the row v goes to (g v)^T = v^T L_g^T) until its rank stays
                 while True:
                     E, piv = Matrix.vstack([rows] + [rows @ self._lmul[g].T
                                                      for g in chosen]).rref()
-                    if len(piv) == rank:
+                    grew = len(piv) > rows.nrows
+                    rows = E.rearranged(lambda x: x[:len(piv)])
+                    if not grew:
                         break
-                    rank = len(piv)
-                    rows = E.submatrix(range(rank), range(d))
             self._generators = tuple(chosen)
         return self._generators
 

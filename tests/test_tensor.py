@@ -6,7 +6,9 @@ Chains of three factors are built by left bracketing; ``chain_oracle``
 keeps the all-at-once construction (every adjacent balancing family on the
 full k-tensor product, one elimination) as their referee, and ``_eager``
 the composition ``P_last @ (P_head (x) I)``, ``(S_head (x) I) @ S_last`` as
-the referee of the maps a chain applies through its head."""
+the referee of the maps a chain applies through its head.  ``_every_basis``
+keeps the relation blocks of every basis vector of A as the referee of
+balancing over the generators of A."""
 
 import gc
 import tracemalloc
@@ -679,15 +681,11 @@ def test_generator_relations_match_every_basis_relation(name):
     _assert_generators_suffice(*PAIRS[name]())
 
 
-def _rebased(M, P, side):
-    """M with the actions on one side conjugated by P: an isomorphic
-    one-sided module (the other side is left as it is, and is not read)."""
-    Pinv = P.inverse()
-    actions = [Pinv @ X @ P for X in getattr(M, side)]
-    left = actions if side == "left_action" else [Matrix.eye(M.field, M.dim)] * \
-        M.left_algebra.dim
-    right = actions if side == "right_action" else [Matrix.eye(M.field, M.dim)] * \
-        M.right_algebra.dim
+def _with_actions(M, side, actions):
+    """M with its actions on one side replaced; a quotient reads only its
+    left factor's right actions and its right factor's left actions."""
+    left, right = (actions, M.right_action) if side == "left_action" else \
+        (M.left_action, actions)
     return Bimodule(M.left_algebra, M.right_algebra, M.dim, left, right)
 
 
@@ -707,23 +705,20 @@ def test_generator_relations_match_after_a_change_of_basis(data):
     M, N = PAIRS[data.draw(st.sampled_from(SMALL), label="case")]()
     f = M.field
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    twisted = []
+    factors = []
     for X, side in ((M, "right_action"), (N, "left_action")):
         P = _random(f, X.dim, X.dim, rng)
         if not P.is_invertible():
             P = Matrix.eye(f, X.dim)
-        X = _rebased(X, P, side)
+        Pinv = P.inverse()
+        actions = [Pinv @ Y @ P for Y in getattr(X, side)]
         if data.draw(st.booleans(), label=f"tamper {side}"):
-            actions = list(getattr(X, side))
             a = data.draw(st.integers(0, len(actions) - 1), label="which")
-            tampered = actions[a].a.copy()
-            tampered[0, -1] = f.scalar(1) + tampered[0, -1]
-            actions[a] = Matrix(f, tampered)
-            X = Bimodule(X.left_algebra, X.right_algebra, X.dim,
-                         actions if side == "left_action" else X.left_action,
-                         actions if side == "right_action" else X.right_action)
-        twisted.append(X)
-    _assert_generators_suffice(*twisted)
+            bumped = actions[a].a.copy()
+            bumped[0, -1] = bumped[0, -1] + f.scalar(1)
+            actions[a] = Matrix(f, bumped)
+        factors.append(_with_actions(X, side, actions))
+    _assert_generators_suffice(*factors)
 
 
 def test_non_associative_right_action_keeps_every_basis_relation():
