@@ -183,13 +183,6 @@ class DualModuleTransport:
     module: Bimodule                # right R-module on the same carrier
     dual: DualAlgebra               # *C, whose basis indexes R's basis
 
-    def action_of(self, p: DualElement) -> Matrix:
-        """The action matrix of an arbitrary left-dual element."""
-        coords = self.dual.coords(p.values)
-        if coords is None:
-            raise InvalidStructureError("element is not left A-linear")
-        return self.module.right_act(coords)
-
 
 def comodule_to_dual_module(M: Comodule) -> DualModuleTransport:
     """Transport m . f = sum m_0 . f(m_1); requires C to be left projective

@@ -44,7 +44,8 @@ scaled past 2^62 is scaled in Python ints.
 
 Each field has one exact elimination kernel behind :func:`_rref`:
 
-- F_2 eliminates by XOR of rows packed into Python-int bitmasks.
+- F_2 inserts rows packed into Python-int bitmasks into a basis keyed by
+  leading column, then back-substitutes in decreasing lead order.
 - F_p (p odd) eliminates on residue arrays.  After each pivot only the rows
   that the pivot touched are updated and reduced mod p; every other row
   is already reduced.
@@ -674,7 +675,7 @@ def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         return a.copy(), []
     if field.kind == "Q":
         return _rref_q(a)
-    if field.p == 2 and a.dtype == np.int64:
+    if field.p == 2:
         return _rref_gf2_packed(a)
     return _rref_fp(a.copy(), field.p)
 
@@ -758,50 +759,44 @@ def _rref_gf2_packed(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """GF(2) reduced echelon form of the 0/1 array R, computed on rows
     packed into Python-int bitmasks (bit j = column j); R is not modified.
 
-    Rows are deduplicated first; that is safe because the reduced echelon
-    form is canonical for the row space, so the result and every pivot
-    choice match row-by-row elimination exactly."""
+    Each row is inserted into a basis keyed by lowest set bit (leading
+    column): while its lowest bit is a key, it is XORed with that key's row,
+    which clears the bit and sets none below it; a nonzero remainder joins
+    under its new lowest bit.  The basis spans R's row space with distinct
+    leads.  Taken in decreasing lead order, each row then XORs in the
+    already-reduced row of every other pivot bit it holds, which holds no
+    pivot bit but its own, so one mask of the row's pivot bits lists every
+    step.  The reduced echelon form of a row space is unique, so entries and
+    pivots are those of row-by-row Gauss-Jordan elimination."""
     m, n = R.shape
-    W = (n + 63) // 64
-    padded = np.zeros((m, W * 64), dtype=np.uint8)
-    padded[:, :n] = R.astype(np.uint8)
-    # bit j of a row's little-endian words is column j, on any host
-    words = np.packbits(padded, axis=1, bitorder="little").view("<u8").reshape(m, W)
-    if W == 1:
-        packed = words[:, 0].tolist()
-    else:
-        packed = []
-        for row_words in words.tolist():
-            x = 0
-            for w in range(W):
-                x |= row_words[w] << (64 * w)
-            packed.append(x)
-    rows = sorted(set(packed) - {0})
-    mm = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        bit = 1 << col
-        piv = -1
-        for i in range(r, mm):
-            if rows[i] & bit:
-                piv = i
+    packed = np.packbits(R.astype(np.uint8, order="C"), axis=1, bitorder="little")
+    width = packed.shape[1]
+    basis: dict[int, int] = {}
+    # one bytes object per row of the C-ordered packing: numpy drops its
+    # trailing zero bytes, its high bytes in little-endian order, which do
+    # not change its value
+    for row_bytes in packed.view(f"S{width}").ravel().tolist():
+        x = int.from_bytes(row_bytes, "little")
+        while x:
+            lead = x & -x
+            row = basis.get(lead)
+            if row is None:
+                basis[lead] = x
                 break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for i in range(mm):
-            if i != r and rows[i] & bit:
-                rows[i] ^= pr
-        pivots.append(col)
-        r += 1
-        if r == mm:
-            break
+            x ^= row
+    leads = sorted(basis, reverse=True)
+    pivot_mask = sum(leads)  # distinct bits: their sum is their union
+    for lead in leads:
+        x = basis[lead]
+        rest = (x & pivot_mask) ^ lead
+        while rest:
+            bit = rest & -rest
+            x ^= basis[bit]
+            rest ^= bit
+        basis[lead] = x
+    leads.reverse()
+    back = b"".join(basis[lead].to_bytes(width, "little") for lead in leads)
     out = np.zeros((m, n), dtype=np.int64)
-    if pivots:
-        back = np.zeros((len(pivots), W * 8), dtype=np.uint8)
-        for i in range(len(pivots)):
-            back[i, :] = np.frombuffer(rows[i].to_bytes(W * 8, "little"), dtype=np.uint8)
-        out[: len(pivots), :] = np.unpackbits(back, axis=1, bitorder="little")[:, :n]
-    return out, pivots
+    out[:len(leads)] = np.unpackbits(np.frombuffer(back, dtype=np.uint8).reshape(len(leads), width),
+                                     axis=1, count=n, bitorder="little")
+    return out, [lead.bit_length() - 1 for lead in leads]

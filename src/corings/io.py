@@ -254,10 +254,6 @@ def graded_from_payload(f: FieldSpec, payload) -> GradedData:
     return GradedData(tables[0], tables[1], A, degrees)
 
 
-def morphism_to_payload(m: CoringMorphism) -> dict:
-    return {"phi": _matrix_to_json(m.phi), "rho": _matrix_to_json(m.rho.matrix)}
-
-
 def morphism_from_payload(f: FieldSpec, payload, coring: Coring) -> CoringMorphism:
     phi = _matrix_from_json(f, _get(payload, "phi"), coring.dim, coring.dim, "phi")
     rho = _matrix_from_json(f, _get(payload, "rho"), coring.base.dim, coring.base.dim, "rho")

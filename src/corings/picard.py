@@ -351,10 +351,6 @@ class ExactSequenceReport:
     inn_normal: bool = False
     coset_representatives: list[int] = field(default_factory=list)
 
-    @property
-    def all_decided(self) -> bool:
-        return self.undecided == 0
-
     def summary(self) -> str:
         out = "?" if self.out_count is None else str(self.out_count)
         return (f"{self.coring_name}: |Aut| = {self.aut_count}, |Inn| = {self.inn_count}, "

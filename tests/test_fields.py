@@ -11,14 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from corings import (GF, QQ, Algebra, FieldSpec, Matrix, check_coring, graded_coring,
                      regular_bimodule, tensor_chain)
 from corings import fields
-from corings.fields import (_q_split, _rref, _rref_gf2_packed, basis_vector, commute_rows,
-                            sandwich_rows, stack_vecs, unstack)
+from corings.fields import (_q_split, _rref, _rref_fp, _rref_gf2_packed, basis_vector,
+                            commute_rows, sandwich_rows, stack_vecs, unstack)
 from corings.report import BalancednessError
 
 from conftest import kz2_graded
@@ -152,6 +152,93 @@ def test_packed_gf2_rref_matches_generic():
         R2, piv2 = _rref_gf2_packed(A.copy())
         assert piv1 == piv2
         assert (R1[: len(piv1)] == R2[: len(piv2)]).all()
+
+
+def reference_rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The GF(2) kernel that the one-pass kernel replaced, kept as its
+    referee: rows packed into 64-bit words, deduplicated, then one scan of
+    the remaining rows for every pivot column."""
+    m, n = R.shape
+    W = (n + 63) // 64
+    padded = np.zeros((m, W * 64), dtype=np.uint8)
+    padded[:, :n] = R.astype(np.uint8)
+    # bit j of a row's little-endian words is column j, on any host
+    words = np.packbits(padded, axis=1, bitorder="little").view("<u8").reshape(m, W)
+    if W == 1:
+        packed = words[:, 0].tolist()
+    else:
+        packed = []
+        for row_words in words.tolist():
+            x = 0
+            for w in range(W):
+                x |= row_words[w] << (64 * w)
+            packed.append(x)
+    rows = sorted(set(packed) - {0})
+    mm = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        bit = 1 << col
+        piv = -1
+        for i in range(r, mm):
+            if rows[i] & bit:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        for i in range(mm):
+            if i != r and rows[i] & bit:
+                rows[i] ^= pr
+        pivots.append(col)
+        r += 1
+        if r == mm:
+            break
+    out = np.zeros((m, n), dtype=np.int64)
+    if pivots:
+        back = np.zeros((len(pivots), W * 8), dtype=np.uint8)
+        for i in range(len(pivots)):
+            back[i, :] = np.frombuffer(rows[i].to_bytes(W * 8, "little"), dtype=np.uint8)
+        out[: len(pivots), :] = np.unpackbits(back, axis=1, bitorder="little")[:, :n]
+    return out, pivots
+
+
+@st.composite
+def _gf2_matrices(draw):
+    """0/1 matrices up to 40 x 200, across the 8- and 64-bit packing
+    boundaries, from two nonzeros per row (a balancing relation's) to dense,
+    with zero rows, repeated rows and sums of earlier rows."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 200))
+    density = draw(st.floats(min(1.0, 2 / n), 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.zeros((m, n), dtype=np.int64)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["dense", "pair", "zero", "copy", "sum"]),
+                                           min_size=m, max_size=m))):
+        if kind == "dense":
+            A[i] = rng.random(n) < density
+        elif kind == "pair":
+            A[i, rng.choice(n, size=min(2, n), replace=False)] = 1
+        elif kind == "copy" and i:
+            A[i] = A[rng.integers(i)]
+        elif kind == "sum" and i:
+            A[i] = A[rng.integers(i)] ^ A[rng.integers(i)]
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_gf2_matrices(), fortran=st.booleans())
+@example(A=np.zeros((5, 70), dtype=np.int64), fortran=False)
+def test_gf2_rref_matches_reference_and_fp_kernel(A, fortran):
+    if fortran:  # a transposed product's layout
+        A = np.asfortranarray(A)
+    before = A.copy()
+    R, piv = _rref_gf2_packed(A)
+    assert np.array_equal(A, before)
+    ref, ref_piv = reference_rref_gf2(A)
+    assert piv == ref_piv and R.dtype == ref.dtype and np.array_equal(R, ref)
+    fp, fp_piv = _rref_fp(A.copy(), 2)
+    assert piv == fp_piv and np.array_equal(R, fp)
 
 
 def test_no_floats_anywhere():
