@@ -43,7 +43,8 @@ from .picard import (AutomorphismSet, entwining_coring_automorphism, entwining_k
                      enumerate_automorphisms, graded_ker_omega,
                      graded_triple_coring_automorphism, graded_triple_ker_membership,
                      inner_via_bicomodule, is_inner, verify_exact_sequence)
-from .report import InvalidStructureError, OracleDisagreementError, Report
+from .report import (BalancednessError, InvalidStructureError, KernelInvarianceError,
+                     OracleDisagreementError, Report)
 from .unitsearch import DEFAULT_BUDGET, UNDECIDED
 
 PASS, FAIL, UNDEC, PARSE_ERROR = 0, 1, 2, 3
@@ -485,7 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DocumentError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR
-    except InvalidStructureError as e:
+    except (InvalidStructureError, BalancednessError, KernelInvarianceError) as e:
         print(f"invalid structure: {e}", file=sys.stderr)
         return FAIL
     except OracleDisagreementError as e:

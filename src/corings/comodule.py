@@ -26,7 +26,7 @@ from .fields import Matrix, combine, commute_rows, stack_vecs, unstack
 from .report import (BalancednessError, InvalidStructureError, KernelInvarianceError,
                      Report, ReportBuilder)
 from .tensor import TensorQuotient, tensor_chain, tensor_over
-from .unitsearch import CERTIFIED_NONE, UNDECIDED, WITNESS, invertible_in_span
+from .unitsearch import CERTIFIED_NONE, DEFAULT_BUDGET, UNDECIDED, WITNESS, invertible_in_span
 
 
 class Comodule:
@@ -264,19 +264,17 @@ def cotensor(M: Bicomodule, N: Bicomodule) -> CotensorResult:
     kernel = omega.nullspace()
     kdim = kernel.ncols
 
-    # the kernel is a sub-bimodule: restrict both actions
-    lact, ract = [], []
-    for b in range(M.module.left_algebra.dim):
-        X = kernel.solve_matrix(mn.module.left_action[b] @ kernel)
+    # the kernel is a sub-bimodule: restrict each side's actions by one solve
+    # of their stacked images, split by columns; the kernel's columns are
+    # independent, so each block is the unique solution
+    restricted = []
+    for side, actions in (("left", mn.module.left_action), ("right", mn.module.right_action)):
+        X = kernel.solve_matrix(Matrix.hstack([act @ kernel for act in actions]))
         if X is None:
-            raise KernelInvarianceError("left action does not preserve the cotensor kernel")
-        lact.append(X)
-    for a in range(N.module.right_algebra.dim):
-        X = kernel.solve_matrix(mn.module.right_action[a] @ kernel)
-        if X is None:
-            raise KernelInvarianceError("right action does not preserve the cotensor kernel")
-        ract.append(X)
-    kmod = Bimodule(M.module.left_algebra, N.module.right_algebra, kdim, lact, ract)
+            raise KernelInvarianceError(f"{side} action does not preserve the cotensor kernel")
+        restricted.append([X.rearranged(lambda x: x[:, b * kdim:(b + 1) * kdim])
+                           for b in range(len(actions))])
+    kmod = Bimodule(M.module.left_algebra, N.module.right_algebra, kdim, *restricted)
 
     Cp, Cpp = M.left_coring, N.right_coring
     # left coaction: restrict lambda_M (x) N along C' (x) kernel -> C' M N
@@ -334,7 +332,7 @@ class IsoSearchResult:
 
 
 def bicomodule_iso_exists(M: Bicomodule, N: Bicomodule,
-                          budget: int = 200_000, seed: int = 0) -> IsoSearchResult:
+                          budget: int = DEFAULT_BUDGET, seed: int = 0) -> IsoSearchResult:
     """Search the bicomodule morphism space for an invertible element."""
     if M.left_coring is not N.left_coring or M.right_coring is not N.right_coring:
         raise ValueError("isomorphism search needs a common coring pair")

@@ -137,10 +137,6 @@ class FieldSpec:
     def prime(p: int) -> "FieldSpec":
         return FieldSpec("Fp", p)
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "Q" else self.p  # type: ignore[return-value]
-
     # -- scalar helpers -------------------------------------------------
 
     def scalar(self, x) -> object:
@@ -358,9 +354,6 @@ class Matrix:
 
     def copy(self) -> "Matrix":
         return self.rearranged(np.copy)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i, :].copy()
 
     def col(self, j: int) -> np.ndarray:
         return self.a[:, j].copy()

@@ -173,7 +173,6 @@ class AutomorphismSet:
     coring: Coring
     elements: list[CoringMorphism]
     complete: bool
-    rho_fixed_identity: bool = True
 
     # (phi, rho matrix) -> index of its first element
     _index: dict = field(init=False, repr=False, compare=False)
@@ -332,13 +331,20 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
         rep = check_coring_morphism(g)
         if not (rep.ok and g.is_isomorphism()):
             raise AssertionError("enumerated candidate failed final validation")
-    return AutomorphismSet(C, found, complete, rho_fixed_identity=fix_rho_identity)
+    return AutomorphismSet(C, found, complete)
 
 
 # -- exact sequence verification ----------------------------------------------
 
 @dataclass
 class ExactSequenceReport:
+    """The outcome of :func:`verify_exact_sequence`.  Its four group fields
+    (``inn_closed``, ``inn_normal``, ``out_count`` = |Aut| / |Inn| and
+    ``coset_representatives``) are computed only when the enumeration is
+    complete and every element is decided; otherwise they keep their
+    defaults False, False, None and [].  The last two also keep them when
+    no element is inner."""
+
     coring_name: str
     aut_count: int
     inner_flags: list[Optional[bool]]
@@ -388,46 +394,40 @@ def verify_exact_sequence(C: Coring, auts: AutomorphismSet,
                               inn_count=len(inn), undecided=undecided,
                               oracle_agreements=agreements)
     if auts.complete and undecided == 0:
-        rep.inn_closed, rep.inn_normal = _inn_subgroup_checks(auts, flags)
+        rep.inn_closed, rep.inn_normal, reps = _inn_group_checks(auts, flags)
         if inn:
             rep.out_count = len(auts.elements) // len(inn)
-            rep.coset_representatives = _coset_representatives(auts, flags)
+            rep.coset_representatives = reps
     return rep
 
 
-def _inn_subgroup_checks(auts: AutomorphismSet,
-                         flags: Sequence[Optional[bool]]) -> tuple[bool, bool]:
-    """(closed, normal): whether the inner automorphisms are closed under
-    inverses and composition, and whether they are also closed under
-    conjugation by every automorphism (a normal subgroup)."""
-    def inner(m: CoringMorphism) -> bool:
-        j = auts.find(m.phi, m.rho.matrix)
-        return j is not None and bool(flags[j])
-    elems = auts.elements
-    inn = [elems[i] for i, v in enumerate(flags) if v]
-    if not all(inner(f.inverse()) and all(inner(f.compose(h)) for h in inn) for f in inn):
-        return False, False
-    for g in elems:
-        ginv = g.inverse()
-        if not all(inner(g.compose(f).compose(ginv)) for f in inn):
-            return True, False
-    return True, True
+def _inn_group_checks(auts: AutomorphismSet, flags: Sequence[Optional[bool]]
+                      ) -> tuple[bool, bool, list[int]]:
+    """(closed, normal, coset representatives) of the flagged subset N of
+    the finite group ``auts``, read from the products g f and f g (g in Aut,
+    f in N), each composed at most once; nothing is inverted.
 
+    Closed: f N lies in N for every f in N.  Then N is a subgroup: the
+    powers of f lie in N and cycle, so f^-1 = f^(m-1) for the m >= 1 with
+    f^m = id.  Normal: N is closed and g N = N g for every g.  That is
+    g N g^-1 inside N: that holds iff g N lies in N g, and as g N and N g
+    both have |N| elements, inclusion is equality.  The representatives
+    are the first index of each left coset g N, in order."""
+    members = {i for i, v in enumerate(flags) if v}
+    inn = [auts.elements[i] for i in sorted(members)]
 
-def _coset_representatives(auts: AutomorphismSet, flags: Sequence[Optional[bool]]) -> list[int]:
-    inner_idx = [i for i, v in enumerate(flags) if v]
+    def indices(products: Iterator[CoringMorphism]) -> set[Optional[int]]:
+        return {auts.find(m.phi, m.rho.matrix) for m in products}
+
+    left = [indices(g.compose(f) for f in inn) for g in auts.elements]
+    closed = all(left[i] <= members for i in members)
+    normal = closed and all(indices(f.compose(g) for f in inn) == left[i]
+                            for i, g in enumerate(auts.elements))
     reps: list[int] = []
-    covered: set[int] = set()
-    for i, f in enumerate(auts.elements):
-        if i in covered:
-            continue
-        reps.append(i)
-        for t in inner_idx:
-            comp = f.compose(auts.elements[t])
-            j = auts.find(comp.phi, comp.rho.matrix)
-            if j is not None:
-                covered.add(j)
-    return reps
+    for i in range(len(left)):
+        if not any(i in left[r] for r in reps):
+            reps.append(i)
+    return closed, normal, reps
 
 
 # -- graded fast paths --------------------------------------------------------

@@ -283,6 +283,25 @@ def test_cotensor_command(tmp_path, capsys):
     assert code == 0 and machine["dim"] == 2
 
 
+@pytest.mark.parametrize("entry,message", [
+    ((0, 0, 0), "ambient map does not descend to the quotient"),
+    ((0, 2, 0), "right action does not preserve the cotensor kernel"),
+], ids=["unbalanced", "kernel-not-invariant"])
+def test_cotensor_of_broken_coring_over_a_base_fails_in_one_line(tmp_path, capsys, entry, message):
+    """One flipped right-action entry of Mc2 over F2[Z2] breaks the coring
+    so that cotensor's quotient or its kernel restriction fails; main turns
+    either error into exit 1 and one stderr line."""
+    cpath = str(tmp_path / "mc2z2.json")
+    run(capsys, "build", "matrix", "-n", "2", "--base-group", "2", "--field", "F2", "-o", cpath)
+    doc = doc_io.load(cpath)
+    i, j, t = entry
+    action = doc["payload"]["right_action"]
+    action[i][j][t] = 1 - action[i][j][t]
+    doc_io.save(cpath, doc)
+    assert main(["cotensor", cpath]) == 1
+    assert capsys.readouterr().err == f"invalid structure: {message}\n"
+
+
 def test_cointegral_command(tmp_path, capsys):
     cpath = str(tmp_path / "g.json")
     run(capsys, "build", "graded-coring", "--group", "2", "--field", "F3", "-o", cpath)

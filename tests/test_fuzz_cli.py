@@ -1,14 +1,15 @@
 """Fuzz of the document loaders and the command line: one mutated node in a
 small valid document must never let an exception escape ``main``.
 
-Each case takes a document (the corings grouplike/F3, grouplike/Q and
-matrix/F2, the graded Z2/F3 data, the right dual of grouplike/F3 as an
-algebra, the entwining of graded Z2/F3, or its Doi-Koppinen triple), deletes
-one key or list item, overwrites one node with a hostile value, or flips one
-0/1 entry (a well-formed document of a broken structure), and runs
-``validate``, ``cointegral`` and ``dual`` on it (and ``exactseq`` at a small
-budget on the coring documents).  Every run must end in one of the
-contract's exit codes: 0 pass, 1 fail, 2 undecided, 3 parse error."""
+Each case takes a document (the corings grouplike/F3, grouplike/Q,
+matrix/F2 and Mc2 over F2[Z2], the graded Z2/F3 data, the right dual of
+grouplike/F3 as an algebra, the entwining of graded Z2/F3, or its
+Doi-Koppinen triple), deletes one key or list item, overwrites one node with
+a hostile value, or flips one 0/1 entry (a well-formed document of a broken
+structure), and runs ``validate``, ``cointegral`` and ``dual`` on it (and
+``exactseq`` at a small budget and ``cotensor`` on the coring documents).
+Every run must end in one of the contract's exit codes: 0 pass, 1 fail,
+2 undecided, 3 parse error."""
 
 import contextlib
 import copy
@@ -36,12 +37,14 @@ BASES = {
     "grouplike/F3": ["build", "grouplike", "-n", "2", "--field", "F3"],
     "grouplike/Q": ["build", "grouplike", "-n", "2", "--field", "Q"],
     "matrix/F2": ["build", "matrix", "-n", "2", "--field", "F2"],
+    # the one coring over a base larger than k
+    "matrix/F2[Z2]": ["build", "matrix", "-n", "2", "--base-group", "2", "--field", "F2"],
     "graded Z2/F3": ["build", "graded", "--group", "2", "--field", "F3"],
     "algebra C*/F3": ["dual", "{grouplike/F3}", "--side", "right"],
     "entwining Z2/F3": ["build", "entwining", "--group", "2", "--field", "F3"],
     "dk Z2/F3": _dk_document,
 }
-CORINGS = {"grouplike/F3", "grouplike/Q", "matrix/F2"}
+CORINGS = {"grouplike/F3", "grouplike/Q", "matrix/F2", "matrix/F2[Z2]"}
 HOSTILE = (None, True, -1, 10**20, "1/0", [], [[]], {}, 1.5)
 FLIP = {0: 1, 1: 0, "0": "1", "1": "0"}
 CONTRACT = {0, 1, 2, 3}
@@ -109,7 +112,7 @@ def test_fuzzed_documents_keep_the_exit_code_contract(documents):
         target.write_text(json.dumps(doc))
         commands = [["validate"], ["cointegral"], ["dual", "--side", "right"]]
         if name in CORINGS:
-            commands.append(["exactseq", "--budget", "50"])
+            commands += [["exactseq", "--budget", "50"], ["cotensor"]]
         for command in commands:
             argv = [command[0], str(target), *command[1:]]
             code = _quiet_main(argv)

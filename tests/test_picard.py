@@ -20,7 +20,7 @@ from corings import (GF, QQ, AlgebraMorphism, CoringMorphism, GradedData, Matrix
 from corings.convolution import convolution_inverse
 from corings.fields import basis_vector, commute_rows, sandwich_rows
 from corings.picard import (_SCAN_CHUNK, INNER, NOT_INNER, _affine_scan,
-                            _algebra_automorphisms)
+                            _algebra_automorphisms, _inn_group_checks)
 from corings.report import BalancednessError, InvalidStructureError
 from corings.unitsearch import DEFAULT_BUDGET
 
@@ -216,6 +216,123 @@ def test_exact_sequence_graded_coring():
     rep = verify_exact_sequence(C, auts)
     assert rep.complete and rep.undecided == 0
     assert rep.oracle_agreements == rep.aut_count
+
+
+# -- the group checks on Inn -------------------------------------------------
+
+def reference_inn_subgroup_checks(auts, flags):
+    """The replaced closure and normality checks (body verbatim): they invert
+    every inner element and conjugate by every automorphism."""
+    def inner(m: CoringMorphism) -> bool:
+        j = auts.find(m.phi, m.rho.matrix)
+        return j is not None and bool(flags[j])
+    elems = auts.elements
+    inn = [elems[i] for i, v in enumerate(flags) if v]
+    if not all(inner(f.inverse()) and all(inner(f.compose(h)) for h in inn) for f in inn):
+        return False, False
+    for g in elems:
+        ginv = g.inverse()
+        if not all(inner(g.compose(f).compose(ginv)) for f in inn):
+            return True, False
+    return True, True
+
+
+def reference_coset_representatives(auts, flags):
+    """The replaced coset loop (body verbatim)."""
+    inner_idx = [i for i, v in enumerate(flags) if v]
+    reps: list[int] = []
+    covered: set[int] = set()
+    for i, f in enumerate(auts.elements):
+        if i in covered:
+            continue
+        reps.append(i)
+        for t in inner_idx:
+            comp = f.compose(auts.elements[t])
+            j = auts.find(comp.phi, comp.rho.matrix)
+            if j is not None:
+                covered.add(j)
+    return reps
+
+
+def _counted_group_checks(monkeypatch, auts, flags):
+    """``_inn_group_checks`` with its compositions counted; it must make at
+    most 2 |Aut| |Inn| of them and invert nothing."""
+    calls = []
+    compose = CoringMorphism.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    def refused(self):
+        raise AssertionError("the group checks inverted an element")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(CoringMorphism, "compose", counted)
+        mp.setattr(CoringMorphism, "inverse", refused)
+        out = _inn_group_checks(auts, flags)
+    assert len(calls) <= 2 * len(auts) * sum(bool(v) for v in flags)
+    return out
+
+
+# the complete cases of ``exactseq --enumerate``: (coring, whole Aut or rho = id)
+EXACTSEQ_CORPUS = {
+    "kZ2/F2": (lambda: grouplike_coalgebra(2, F2), False),
+    "kZ3/F2": (lambda: grouplike_coalgebra(3, F2), False),
+    "Mc2(F2)": (lambda: matrix_coring(scalar_algebra(F2), 2), False),
+    "trivial F2[Z2] full-rho": (lambda: trivial_coring(group_algebra(cyclic_group(2), F2)[0]), True),
+    "graded Z2/F3 full-rho": (lambda: _graded(2, F3), True),
+    "kZ3/F5": (lambda: grouplike_coalgebra(3, F5), False),
+    "graded Z3/F3": (lambda: _graded(3, F3), False),
+    "graded Z3/F3 full-rho": (lambda: _graded(3, F3), True),
+    "graded Z4/F2": (lambda: _graded(4, F2), False),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACTSEQ_CORPUS))
+def test_group_checks_match_the_reference_on_the_corpus(name, monkeypatch):
+    build, full_rho = EXACTSEQ_CORPUS[name]
+    C = build()
+    auts = enumerate_automorphisms(C, fix_rho_identity=not full_rho)
+    rep = verify_exact_sequence(C, auts)
+    assert auts.complete and rep.undecided == 0 and rep.inn_count > 0
+    closed, normal = reference_inn_subgroup_checks(auts, rep.inner_flags)
+    reps = reference_coset_representatives(auts, rep.inner_flags)
+    assert (rep.inn_closed, rep.inn_normal, rep.coset_representatives) == (closed, normal, reps)
+    assert _counted_group_checks(monkeypatch, auts, rep.inner_flags) == (closed, normal, reps)
+
+
+def _s3_flag_sets():
+    """Aut(kZ3/F2) = S3 on the three grouplikes, with flag sets naming a
+    subset of it, each with its expected (closed, normal, number of cosets)."""
+    auts = enumerate_automorphisms(grouplike_coalgebra(3, F2))
+    fixed = [int(np.trace(g.phi.a)) for g in auts.elements]  # 3 id, 1 transposition, 0 3-cycle
+    identity, transposition = fixed.index(3), fixed.index(1)
+
+    def flags(members):
+        return [i in members for i in range(len(auts))]
+    return auts, {
+        "id and a transposition": (flags({identity, transposition}), (True, False, 3)),
+        # each g covers g t: the pairs {g, g t} leave three representatives
+        "a transposition": (flags({transposition}), (False, False, 3)),
+        "A3": (flags({i for i, n in enumerate(fixed) if n != 1}), (True, True, 2)),
+        # closed under conjugation, g N = N g, but c c^2 = id is missing
+        "the 3-cycles": (flags({i for i, n in enumerate(fixed) if n == 0}), (False, False, 2)),
+        "empty": (flags(set()), (True, True, 6)),
+        "all of Aut": (flags(set(range(len(auts)))), (True, True, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", ["id and a transposition", "a transposition", "A3",
+                                  "the 3-cycles", "empty", "all of Aut"])
+def test_group_checks_on_subsets_of_s3(name, monkeypatch):
+    auts, cases = _s3_flag_sets()
+    assert len(auts) == 6
+    flags, (closed, normal, ncosets) = cases[name]
+    reps = reference_coset_representatives(auts, flags)
+    assert reference_inn_subgroup_checks(auts, flags) == (closed, normal)
+    assert len(reps) == ncosets
+    assert _counted_group_checks(monkeypatch, auts, flags) == (closed, normal, reps)
 
 
 # -- graded fast paths ---------------------------------------------------------
