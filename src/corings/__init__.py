@@ -23,8 +23,8 @@ from .convolution import (DualAlgebra, DualElement, DualModuleTransport,
 from .coring import (Cointegral, Coring, CoringMorphism, check_coring,
                      check_coring_morphism, compose_morphisms, find_cointegral)
 from .families import (Bialgebra, DKStructure, EntwiningStructure, GradedData,
-                       check_entwining, coring_from_entwining, cyclic_group,
-                       dk_from_graded, entwined_to_comodule, entwining_from_dk,
+                       check_entwining, coalgebra, coring_from_entwining, cyclic_group,
+                       dk_from_graded, dual_coalgebra, entwined_to_comodule, entwining_from_dk,
                        entwining_from_graded, flip_entwining, graded_coring,
                        grouplike_bialgebra, grouplike_coalgebra, matrix_coring,
                        regular_gset, trivial_coring, trivial_gset)
@@ -37,7 +37,7 @@ from .picard import (AutomorphismSet, ExactSequenceReport, InnerTestResult,
                      graded_dual_element, graded_dual_invertible, graded_dual_values,
                      graded_ker_omega, graded_triple_coring_automorphism,
                      graded_triple_ker_membership, graded_values_algebra, inner_via_bicomodule,
-                     inner_witness_space, is_inner, verify_exact_sequence)
+                     is_inner, verify_exact_sequence)
 from .report import (BalancednessError, Check, InvalidStructureError,
                      KernelInvarianceError, OracleDisagreementError, Report)
 from .tensor import TensorQuotient, tensor_chain, tensor_over

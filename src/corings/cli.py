@@ -165,14 +165,18 @@ def cmd_build(args) -> Result:
 
 # -- inner / exactseq ---------------------------------------------------------
 
-def _load_doc(path: str, kind: str) -> tuple[FieldSpec, dict]:
+def _load_doc(path: str, kind: str, field: Optional[FieldSpec] = None) -> tuple[FieldSpec, dict]:
     """The field and payload of the document at ``path``, which must be of
-    this kind (a parse error otherwise)."""
+    this kind and, when ``field`` is given, declare that field (a parse
+    error otherwise)."""
     doc = doc_io.load(path)
     if doc["kind"] != kind:
         article = "an" if kind[0] in "aeiou" else "a"
         raise DocumentError(f"{path} is not {article} {kind} document")
-    return doc_io.parse_field(doc), doc["payload"]
+    declared = doc_io.parse_field(doc)
+    if field is not None and declared != field:
+        raise DocumentError(f"{path} is over {declared}, but the command works over {field}")
+    return declared, doc["payload"]
 
 
 def _load_coring(path: str):
@@ -181,7 +185,7 @@ def _load_coring(path: str):
 
 
 def _load_morphism(path: str, f: FieldSpec, C):
-    return doc_io.morphism_from_payload(f, _load_doc(path, "morphism")[1], C)
+    return doc_io.morphism_from_payload(f, _load_doc(path, "morphism", f)[1], C)
 
 
 def _square(f: FieldSpec, payload: dict, key: str, dim: int):
@@ -291,7 +295,7 @@ def cmd_dual(args) -> Result:
 
 def cmd_convinv(args) -> Result:
     f, C = _load_coring(args.coring)
-    p = doc_io.dual_element_from_payload(f, _load_doc(args.element, "dual-element")[1], C)
+    p = doc_io.dual_element_from_payload(f, _load_doc(args.element, "dual-element", f)[1], C)
     val = p.validate()
     if not val.ok:
         return (FAIL, ["element is not one-sided linear", str(val)],
@@ -364,7 +368,7 @@ def cmd_graded_ker(args) -> Result:
 def cmd_entwining_ker(args) -> Result:
     f, payload = _load_doc(args.entwining, "entwining")
     E = doc_io.entwining_from_payload(f, payload)
-    payload = _load_doc(args.morphism, "morphism")[1]
+    payload = _load_doc(args.morphism, "morphism", f)[1]
     alpha = _square(f, payload, "alpha", E.algebra.dim)
     gamma = _square(f, payload, "gamma", E.coalgebra.dim)
     budget = _budget(args)
@@ -376,7 +380,7 @@ def cmd_entwining_ker(args) -> Result:
 def cmd_dk_ker(args) -> Result:
     f, payload = _load_doc(args.graded, "graded")
     Gd = doc_io.graded_from_payload(f, payload)
-    payload = _load_doc(args.triple, "morphism")[1]
+    payload = _load_doc(args.triple, "morphism", f)[1]
     f_map = doc_io._ints_from_json(doc_io._get(payload, "f"), "f")
     phi_map = doc_io._ints_from_json(doc_io._get(payload, "phi"), "phi")
     alpha = _square(f, payload, "alpha", Gd.algebra.dim)
@@ -448,10 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", required=True)
 
     e = cmd["exactseq"]
-    e.add_argument("--enumerate", action="store_true")
+    source = e.add_mutually_exclusive_group()
+    source.add_argument("--enumerate", action="store_true")
     e.add_argument("--full-rho", action="store_true",
                    help="enumerate base automorphisms too (default: rho = id)")
-    e.add_argument("--morphisms", nargs="*", default=None)
+    source.add_argument("--morphisms", nargs="*", default=None)
     cmd["dual"].add_argument("--side", choices=["right", "left"], default="right")
     cmd["dual"].add_argument("-o", "--output", default=None)
     cmd["convinv"].add_argument("-o", "--output", default=None)

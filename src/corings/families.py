@@ -72,6 +72,16 @@ def matrix_coring(A: Algebra, n: int, name: Optional[str] = None) -> Coring:
     return Coring(A, bim, delta, Matrix(f, eps), name=name or f"matrix-coring({n})")
 
 
+def coalgebra(field: FieldSpec, delta_ambient: Matrix, epsilon: Matrix, name: str) -> Coring:
+    """The k-coalgebra with Delta = ``delta_ambient`` (d^2 x d, into C (x)_k C)
+    and eps = ``epsilon`` (1 x d), as a coring over the base k."""
+    k = scalar_algebra(field)
+    d = delta_ambient.ncols
+    I = Matrix.eye(field, d)
+    bim = Bimodule(k, k, d, [I], [I])
+    return Coring(k, bim, tensor_over(bim, bim).project @ delta_ambient, epsilon, name=name)
+
+
 def grouplike_coalgebra(size_or_labels, field: FieldSpec, name: Optional[str] = None) -> Coring:
     """Coalgebra over k with basis S, Delta(s) = s (x) s, eps(s) = 1."""
     if isinstance(size_or_labels, int):
@@ -81,18 +91,24 @@ def grouplike_coalgebra(size_or_labels, field: FieldSpec, name: Optional[str] = 
     d = len(labels)
     if d == 0:
         raise ValueError("need a nonempty basis")
-    k = scalar_algebra(field)
-    I = Matrix.eye(field, d)
-    bim = Bimodule(k, k, d, [I], [I])
     one = field.scalar(1)
     amb = field.zeros((d * d, d))
     for s in range(d):
         amb[s * d + s, s] = one
-    delta = tensor_over(bim, bim).project @ Matrix(field, amb)
     eps = field.zeros((1, d))
-    for s in range(d):
-        eps[0, s] = one
-    return Coring(k, bim, delta, Matrix(field, eps), name=name or f"grouplike({','.join(labels)})")
+    eps[0, :] = one
+    return coalgebra(field, Matrix(field, amb), Matrix(field, eps),
+                     name or f"grouplike({','.join(labels)})")
+
+
+def dual_coalgebra(A: Algebra) -> Coring:
+    """The coalgebra A* over k in the dual basis: Delta = mu^T and eps = 1^T.
+
+    Transposing the defining equations, M is a unital algebra endomorphism
+    of A (M 1 = 1, M mu = mu (M (x) M)) iff M^T is a counital coalgebra
+    endomorphism of A* (eps M^T = eps, Delta M^T = (M^T (x) M^T) Delta), for
+    any structure constants (Sweedler, *Hopf Algebras*, 1969, ch. 1)."""
+    return coalgebra(A.field, A.mu.T, Matrix.column(A.field, A.unit).T, name="dual")
 
 
 # -- entwining structures ----------------------------------------------------

@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraMorphism, Bimodule, right_module, scalar_algebra
+from .algebra import Algebra, AlgebraMorphism, Bimodule, right_module
 from .comodule import Comodule
 from .convolution import LEFT, RIGHT, DualElement
 from .coring import Coring, CoringMorphism
-from .families import Bialgebra, DKStructure, EntwiningStructure, GradedData
+from .families import Bialgebra, DKStructure, EntwiningStructure, GradedData, coalgebra
 from .fields import FieldSpec, Matrix
 from .tensor import tensor_over
 
@@ -191,10 +191,7 @@ def coalgebra_from_payload(f: FieldSpec, obj) -> Coring:
     d = _dim_from_json(obj, "coalgebra", least=1)
     damb = _matrix_from_json(f, _get(obj, "delta"), d * d, d, "coalgebra delta")
     eps = _matrix_from_json(f, _get(obj, "epsilon"), 1, d, "coalgebra epsilon")
-    k = scalar_algebra(f)
-    I = Matrix.eye(f, d)
-    bim = Bimodule(k, k, d, [I], [I])
-    return Coring(k, bim, tensor_over(bim, bim).project @ damb, eps, name="coalgebra")
+    return coalgebra(f, damb, eps, name="coalgebra")
 
 
 def entwining_from_payload(f: FieldSpec, payload) -> EntwiningStructure:

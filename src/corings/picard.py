@@ -29,8 +29,9 @@ from .convolution import (RIGHT, DualAlgebra, DualElement, convolution_inverse,
                           right_dual_algebra)
 from .coring import Coring, CoringMorphism, check_coring_morphism
 from .families import (DKStructure, EntwiningStructure, GradedData, coring_from_entwining,
-                       entwined_delta_ambient, entwining_from_dk, graded_coring)
-from .fields import FieldSpec, Matrix, commute_rows, sandwich_rows, unstack
+                       dual_coalgebra, entwined_delta_ambient, entwining_from_dk,
+                       graded_coring)
+from .fields import FieldSpec, Matrix, commute_rows, sandwich_rows
 from .report import (InvalidStructureError, OracleDisagreementError, Report,
                      ReportBuilder)
 from .unitsearch import (CERTIFIED_NONE, DEFAULT_BUDGET, UNDECIDED, WITNESS,
@@ -64,14 +65,6 @@ def _require_automorphism(f: CoringMorphism) -> None:
         raise InvalidStructureError("morphism failed validation", rep)
     if not f.is_isomorphism():
         raise InvalidStructureError("morphism is not an automorphism")
-
-
-def inner_witness_space(f: CoringMorphism) -> list[Matrix]:
-    """Basis of {p in C*: sum phi(c_1)p(c_2) = sum p(c_1)c_2}, the linear
-    part of the inner-automorphism condition."""
-    C = f.source
-    null = _p_equation_kernel(C, f.phi, C.delta_ambient)
-    return unstack(null, (C.base.dim, C.dim))
 
 
 def _p_equation_kernel(C: Coring, phi: Matrix, delta_amb: Matrix) -> Matrix:
@@ -217,36 +210,6 @@ def _affine_scan(k: FieldSpec, base: np.ndarray, null: np.ndarray,
         yield (base + digits @ cols) % p
 
 
-def _algebra_automorphisms(A: Algebra, budget: int) -> tuple[list[AlgebraMorphism], bool]:
-    """Invertible algebra endomorphisms over a prime field, by scanning the
-    first ``budget`` of the p^(dim^2) matrices in ``itertools.product``
-    order (entries row-major); complete iff p^(dim^2) <= budget.
-
-    Each chunk keeps the matrices M with M 1 = 1 and M(e_i e_j) = M(e_i)
-    M(e_j), one pair (i, j) at a time; every survivor is then re-checked by
-    ``AlgebraMorphism.validate`` and ``is_invertible``."""
-    k = A.field
-    if k.kind != "Fp":
-        raise InvalidStructureError("automorphism enumeration needs a finite field")
-    p, da = k.p, A.dim
-    n = da * da
-    total = p ** n
-    products = A.mult.reshape(n, da)     # row (u, v): e_u e_v
-    out = []
-    for chunk in _affine_scan(k, k.zeros((n,)), Matrix.eye(k, n).a, max(0, min(total, budget))):
-        Ms = chunk.reshape(-1, da, da)
-        Ms = Ms[(Ms @ A.unit % p == A.unit).all(axis=1)]
-        for i, j in itertools.product(range(da), repeat=2):
-            lhs = Ms @ A.mult[i, j] % p
-            outer = (Ms[:, :, i, None] * Ms[:, None, :, j]).reshape(len(Ms), n) % p
-            Ms = Ms[(lhs == outer @ products % p).all(axis=1)]
-        for arr in Ms:
-            mor = AlgebraMorphism(A, A, Matrix(k, arr))
-            if mor.validate().ok and mor.matrix.is_invertible():
-                out.append(mor)
-    return out, total <= budget
-
-
 def _sandwich_projected(phis: np.ndarray, W: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
     """``P vec(phi W phi^T)`` for each phi of the stack ``phis``, one row
     each; vec is row-major, so this is ``P (phi (x) phi) vec(W)``."""
@@ -262,6 +225,13 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
     space ``part + null t`` cut out by the counit condition and
     rho-twisted bilinearity (both linear); ``complete`` records whether
     every candidate space was fully enumerated within the budget.
+
+    With ``fix_rho_identity`` false the rhos are this same scan's answer
+    on the coalgebra A* (``dual_coalgebra``), transposed: its candidates
+    are the p^(dA^2 - dA) matrices with eps phi = eps, that is M 1 = 1 for
+    M = phi^T, and it spends its own ``budget``.  Each rho is re-validated
+    by ``AlgebraMorphism.validate`` and ``is_invertible``, and a failure
+    raises.  The coring scans then share one more ``budget``.
 
     The candidates are scanned in chunks of array products (``_affine_scan``),
     each chunk filtered in this order, keeping the survivors of each step:
@@ -288,10 +258,16 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
     A = C.base
     d, p = C.dim, k.p
     if fix_rho_identity:
-        rhos = [AlgebraMorphism.identity(A)]
-        complete = True
+        rhos, complete = [AlgebraMorphism.identity(A)], True
     else:
-        rhos, complete = _algebra_automorphisms(A, budget)
+        # sorted by row-major entries, so that the order of Aut, and with it
+        # the coset indices of exactseq, does not depend on the dual's scan
+        duals = enumerate_automorphisms(dual_coalgebra(A), budget=budget)
+        rhos = sorted((AlgebraMorphism(A, A, g.phi.T) for g in duals.elements),
+                      key=lambda rho: rho.matrix.a.tolist())
+        if not all(rho.validate().ok and rho.matrix.is_invertible() for rho in rhos):
+            raise AssertionError("a coalgebra automorphism of A*, transposed, is not one of A")
+        complete = duals.complete
     D, P, X = C.delta.a, C.square.project.a, C.delta_ambient.a
     found: list[CoringMorphism] = []
     spent = 0
@@ -404,15 +380,17 @@ def verify_exact_sequence(C: Coring, auts: AutomorphismSet,
 def _inn_group_checks(auts: AutomorphismSet, flags: Sequence[Optional[bool]]
                       ) -> tuple[bool, bool, list[int]]:
     """(closed, normal, coset representatives) of the flagged subset N of
-    the finite group ``auts``, read from the products g f and f g (g in Aut,
-    f in N), each composed at most once; nothing is inverted.
+    the finite group ``auts``, read from the products g f (g in Aut, f in N)
+    and f g (g in Aut outside N, f in N), each composed at most once, so at
+    most (2 |Aut| - |N|) |N| of them; nothing is inverted.
 
     Closed: f N lies in N for every f in N.  Then N is a subgroup: the
     powers of f lie in N and cycle, so f^-1 = f^(m-1) for the m >= 1 with
     f^m = id.  Normal: N is closed and g N = N g for every g.  That is
     g N g^-1 inside N: that holds iff g N lies in N g, and as g N and N g
-    both have |N| elements, inclusion is equality.  The representatives
-    are the first index of each left coset g N, in order."""
+    both have |N| elements, inclusion is equality.  For g in the subgroup
+    N, g N = N = N g already, so only g outside N are tested.  The
+    representatives are the first index of each left coset g N, in order."""
     members = {i for i, v in enumerate(flags) if v}
     inn = [auts.elements[i] for i in sorted(members)]
 
@@ -422,7 +400,7 @@ def _inn_group_checks(auts: AutomorphismSet, flags: Sequence[Optional[bool]]
     left = [indices(g.compose(f) for f in inn) for g in auts.elements]
     closed = all(left[i] <= members for i in members)
     normal = closed and all(indices(f.compose(g) for f in inn) == left[i]
-                            for i, g in enumerate(auts.elements))
+                            for i, g in enumerate(auts.elements) if i not in members)
     reps: list[int] = []
     for i in range(len(left)):
         if not any(i in left[r] for r in reps):

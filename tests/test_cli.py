@@ -420,6 +420,82 @@ def test_wrong_kind_second_document_is_parse_error(tmp_path, capsys, command, fa
     assert err == f"error: {coring} is not a morphism document\n"
 
 
+def _declared_over(field, kind, payload):
+    """A document of this kind over ``field``; over Q each matrix entry is
+    written as a string, as rational scalars are."""
+    if field.kind == "Q":
+        payload = {key: [[str(x) for x in row] for row in val]
+                   if isinstance(val, list) and val and isinstance(val[0], list) else val
+                   for key, val in payload.items()}
+    return doc_io.document(kind, field, payload)
+
+
+_IDENTITY4 = [[int(i == j) for j in range(4)] for i in range(4)]
+
+# command -> (family and options of its first document, the second document's
+# kind and payload, the command line with {first} and {second} in it)
+SECOND_DOCUMENTS = {
+    "inner": (["grouplike", "-n", "2"], "morphism", {"phi": [[1, 0], [0, 1]], "rho": [[1]]},
+              ["inner", "{first}", "{second}"]),
+    "exactseq": (["grouplike", "-n", "2"], "morphism", {"phi": [[1, 0], [0, 1]], "rho": [[1]]},
+                 ["exactseq", "{first}", "--morphisms", "{second}"]),
+    "cotensor-left": (["grouplike", "-n", "2"], "morphism", {"phi": [[0, 1], [1, 0]], "rho": [[1]]},
+                      ["cotensor", "{first}", "--twist-left", "{second}"]),
+    "cotensor-right": (["grouplike", "-n", "2"], "morphism",
+                       {"phi": [[0, 1], [1, 0]], "rho": [[1]]},
+                       ["cotensor", "{first}", "--twist-right", "{second}"]),
+    "convinv": (["grouplike", "-n", "2"], "dual-element", {"side": "right", "values": [[1, 2]]},
+                ["convinv", "{first}", "{second}"]),
+    "graded-ker": (["graded", "--group", "2"], "morphism",
+                   {"phi": _IDENTITY4, "rho": [[1, 0], [0, 1]]},
+                   ["graded-ker", "{first}", "{second}"]),
+    "entwining-ker": (["entwining", "--group", "2"], "morphism",
+                      {"alpha": [[1, 0], [0, 1]], "gamma": [[0, 1], [1, 0]]},
+                      ["entwining-ker", "{first}", "{second}"]),
+    "dk-ker": (["graded", "--group", "2"], "morphism",
+               {"f": [0, 1], "phi": [1, 0], "alpha": [[1, 0], [0, 1]]},
+               ["dk-ker", "{first}", "{second}"]),
+}
+
+
+@pytest.mark.parametrize("declared", [GF(5), QQ], ids=["F5", "Q"])
+@pytest.mark.parametrize("command", list(SECOND_DOCUMENTS))
+def test_second_document_over_another_field_is_parse_error(tmp_path, capsys, command, declared):
+    """A second document is read in the first one's field: one declaring
+    another field is a parse error whose one stderr line names both, and
+    the same document declaring F3 passes."""
+    family, kind, payload, argv = SECOND_DOCUMENTS[command]
+    paths = {"first": str(tmp_path / "first.json"), "second": str(tmp_path / "second.json")}
+    run(capsys, "build", *family, "--field", "F3", "-o", paths["first"])
+    argv = [a.format(**paths) for a in argv]
+    doc_io.save(paths["second"], _declared_over(F3, kind, payload))
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc_io.save(paths["second"], _declared_over(declared, kind, payload))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {paths['second']} is over {declared}, but the command works over F_3\n"
+
+
+def test_exactseq_enumerate_and_morphisms_are_exclusive(tmp_path, capsys):
+    cpath, mpath = _kz2_identity(tmp_path, capsys)
+    assert main(["exactseq", cpath, "--morphisms", mpath]) == 0
+    capsys.readouterr()
+    assert main(["exactseq", cpath, "--enumerate", "--morphisms", mpath]) == 3
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_full_rho_exactseq_completes_on_trivial_f5_z3(tmp_path, capsys):
+    """F5[Z3] has two automorphisms, fixing 1 and fixing or swapping g and
+    g^2; the base scan over the 5^6 unit-preserving matrices completes."""
+    cpath = str(tmp_path / "triv.json")
+    run(capsys, "build", "trivial", "--dim", "3", "--field", "F5", "-o", cpath)
+    code, _, machine = run(capsys, "exactseq", cpath, "--enumerate", "--full-rho")
+    assert code == 0
+    assert machine["complete"] is True
+    assert (machine["aut"], machine["inn"], machine["out"]) == (2, 1, 2)
+
+
 def test_bool_residue_is_parse_error(tmp_path, capsys):
     path = str(tmp_path / "t.json")
     run(capsys, "build", "trivial", "--dim", "1", "--field", "F2", "-o", path)

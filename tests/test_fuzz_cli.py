@@ -9,7 +9,11 @@ a hostile value, or flips one 0/1 entry (a well-formed document of a broken
 structure), and runs ``validate``, ``cointegral`` and ``dual`` on it (and
 ``exactseq`` at a small budget and ``cotensor`` on the coring documents).
 Every run must end in one of the contract's exit codes: 0 pass, 1 fail,
-2 undecided, 3 parse error."""
+2 undecided, 3 parse error.
+
+A second document (a morphism or dual element read against a coring
+document) that declares another field than the coring's must be a parse
+error, exit 3."""
 
 import contextlib
 import copy
@@ -19,7 +23,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corings import GF, dk_from_graded
+from corings import GF, QQ, dk_from_graded
 from corings import io as doc_io
 from corings.cli import main
 
@@ -117,5 +121,50 @@ def test_fuzzed_documents_keep_the_exit_code_contract(documents):
             argv = [command[0], str(target), *command[1:]]
             code = _quiet_main(argv)
             assert code in CONTRACT, (name, path, action, argv, code)
+
+    check()
+
+
+# the commands that read a second document against a coring, with {second}
+# standing for its path
+SECOND = {
+    "morphism": (["inner", "{second}"], ["exactseq", "--morphisms", "{second}"],
+                 ["cotensor", "--twist-left", "{second}"],
+                 ["cotensor", "--twist-right", "{second}"]),
+    "dual-element": (["convinv", "{second}"],),
+}
+FIELDS = (GF(2), GF(3), GF(5), GF(7), QQ)
+
+
+def _identity_payload(kind, field, d, base_dim):
+    """The identity morphism, or the dual element with values e_0, of a
+    coring of dimension d over a base of dimension base_dim; its scalars
+    written as ``field`` writes them."""
+    def matrix(rows, cols):
+        return [[doc_io._scalar_to_json(field, field.scalar(int(i == j))) for j in range(cols)]
+                for i in range(rows)]
+    if kind == "morphism":
+        return {"phi": matrix(d, d), "rho": matrix(base_dim, base_dim)}
+    return {"side": "right", "values": matrix(base_dim, d)}
+
+
+def test_second_documents_over_another_field_are_parse_errors(documents):
+    root, docs = documents
+    second = root / "second.json"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(CORINGS)), kind=st.sampled_from(sorted(SECOND)),
+           data=st.data())
+    def check(name, kind, data):
+        field = doc_io.parse_field(docs[name])
+        declared = data.draw(st.sampled_from([f for f in FIELDS if f != field]))
+        command = data.draw(st.sampled_from(SECOND[kind]))
+        payload = docs[name]["payload"]
+        second.write_text(json.dumps(doc_io.document(kind, declared, _identity_payload(
+            kind, declared, payload["dim"], len(payload["base"]["unit"])))))
+        first = root / "first.json"
+        first.write_text(json.dumps(docs[name]))
+        argv = [command[0], str(first), *[a.format(second=second) for a in command[1:]]]
+        assert _quiet_main(argv) == 3, (name, kind, str(declared), argv)
 
     check()

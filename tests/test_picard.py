@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from corings import (GF, QQ, AlgebraMorphism, CoringMorphism, GradedData, Matrix,
                      check_coring_morphism, check_dk_morphism, check_entwining_morphism,
                      check_graded_triple, cyclic_group, dk_from_graded, dk_ker_membership,
-                     entwining_coring_automorphism, entwining_from_graded,
+                     dual_coalgebra, entwining_coring_automorphism, entwining_from_graded,
                      entwining_ker_membership, enumerate_automorphisms, graded_coring,
                      graded_dual_element, graded_dual_invertible, graded_ker_omega,
                      graded_triple_coring_automorphism, graded_triple_ker_membership,
@@ -19,8 +19,7 @@ from corings import (GF, QQ, AlgebraMorphism, CoringMorphism, GradedData, Matrix
                      regular_gset, scalar_algebra, trivial_coring, verify_exact_sequence)
 from corings.convolution import convolution_inverse
 from corings.fields import basis_vector, commute_rows, sandwich_rows
-from corings.picard import (_SCAN_CHUNK, INNER, NOT_INNER, _affine_scan,
-                            _algebra_automorphisms, _inn_group_checks)
+from corings.picard import _SCAN_CHUNK, INNER, NOT_INNER, _affine_scan, _inn_group_checks
 from corings.report import BalancednessError, InvalidStructureError
 from corings.unitsearch import DEFAULT_BUDGET
 
@@ -256,7 +255,7 @@ def reference_coset_representatives(auts, flags):
 
 def _counted_group_checks(monkeypatch, auts, flags):
     """``_inn_group_checks`` with its compositions counted; it must make at
-    most 2 |Aut| |Inn| of them and invert nothing."""
+    most |Aut| |Inn| + |Aut - Inn| |Inn| of them and invert nothing."""
     calls = []
     compose = CoringMorphism.compose
 
@@ -271,7 +270,8 @@ def _counted_group_checks(monkeypatch, auts, flags):
         mp.setattr(CoringMorphism, "compose", counted)
         mp.setattr(CoringMorphism, "inverse", refused)
         out = _inn_group_checks(auts, flags)
-    assert len(calls) <= 2 * len(auts) * sum(bool(v) for v in flags)
+    inn = sum(bool(v) for v in flags)
+    assert len(calls) <= (2 * len(auts) - inn) * inn
     return out
 
 
@@ -591,32 +591,33 @@ def _product_prefix(p, m, count):
 
 
 def reference_algebra_automorphisms(A, budget):
-    """The per-candidate base scan that ``_algebra_automorphisms`` batches,
-    kept as a test oracle: every matrix in ``itertools.product`` order,
-    validated one at a time."""
+    """The invertible algebra endomorphisms of A, kept as a test oracle:
+    every one of the p^(d^2) matrices in ``itertools.product`` order,
+    validated one at a time; None when p^(d^2) > budget."""
     k = A.field
-    out, complete, count = [], True, 0
-    for entries in _product_prefix(k.p, A.dim * A.dim, budget + 1):
-        count += 1
-        if count > budget:
-            complete = False
-            break
+    if k.p ** (A.dim * A.dim) > budget:
+        return None
+    out = []
+    for entries in itertools.product(range(k.p), repeat=A.dim * A.dim):
         mat = Matrix(k, np.array(entries, dtype=k.dtype).reshape(A.dim, A.dim))
         mor = AlgebraMorphism(A, A, mat)
         if mor.validate().ok and mat.is_invertible():
             out.append(mor)
-    return out, complete
+    return out
 
 
 def reference_automorphisms(C, fix_rho_identity, budget):
     """The per-candidate scan that ``enumerate_automorphisms`` batches, kept
     as a test oracle: bijectivity, balance of phi (x) phi and
-    comultiplicativity, tested on one candidate phi at a time."""
+    comultiplicativity, tested on one candidate phi at a time.  The rhos
+    are its own answer on the coalgebra A*, transposed and sorted."""
     k, A, d = C.field, C.base, C.dim
     if fix_rho_identity:
         rhos, complete = [AlgebraMorphism.identity(A)], True
     else:
-        rhos, complete = reference_algebra_automorphisms(A, budget)
+        duals, complete = reference_automorphisms(dual_coalgebra(A), True, budget)
+        rhos = sorted((AlgebraMorphism(A, A, g.phi.T) for g in duals),
+                      key=lambda rho: rho.matrix.a.tolist())
     found, spent = [], 0
     for rho in rhos:
         blocks = [sandwich_rows(C.epsilon, Matrix.eye(k, d))]
@@ -700,8 +701,9 @@ def test_batched_scan_over_a_large_prime_takes_the_object_path(fix):
 SCAN_ALGEBRAS = {
     **{f"F{f.p}": (lambda f=f: scalar_algebra(f)) for f in (F2, F3, F5)},
     **{f"F{f.p}[Z{n}]": (lambda n=n, f=f: group_algebra(cyclic_group(n), f)[0])
-       for n, f in ((2, F2), (2, F3), (3, F2), (3, F3))},
+       for n, f in ((2, F2), (2, F3), (3, F2), (3, F3), (3, F5))},
     "F3[t]/t^2": lambda: dual_numbers(F3),
+    "M2(F2)": lambda: matrix_algebra(F2, 2),
     "F_(2^31-1)": lambda: scalar_algebra(GF((1 << 31) - 1)),
 }
 
@@ -709,12 +711,19 @@ SCAN_ALGEBRAS = {
 @pytest.mark.parametrize("budget", SCAN_BUDGETS)
 @pytest.mark.parametrize("name", list(SCAN_ALGEBRAS))
 def test_batched_base_scan_matches_the_per_candidate_loop(name, budget):
+    """The base scan, the batched scan on the coalgebra A* transposed,
+    against the referee that tries each matrix alone.  The trivial coring A
+    has one automorphism (rho, rho) per base automorphism rho, so its
+    full-rho enumeration lists the base scan's rhos in order.  Wherever the
+    referee completes, the scan completes too, with the same list."""
     A = SCAN_ALGEBRAS[name]()
-    budget = min(budget, 50) if A.field.p > 5 else budget
-    got, complete = _algebra_automorphisms(A, budget)
-    want, want_complete = reference_algebra_automorphisms(A, budget)
-    assert complete == want_complete
-    assert [_fingerprint(g.matrix) for g in got] == [_fingerprint(g.matrix) for g in want]
+    auts = enumerate_automorphisms(trivial_coring(A), fix_rho_identity=False, budget=budget)
+    assert all(g.phi == g.rho.matrix for g in auts.elements)
+    want = reference_algebra_automorphisms(A, budget)
+    if want is not None:
+        assert auts.complete
+        assert [_fingerprint(g.rho.matrix) for g in auts.elements] == \
+            [_fingerprint(g.matrix) for g in want]
 
 
 def _scan_rows(p, base, null, count):
