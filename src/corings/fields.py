@@ -1,4 +1,5 @@
-"""Exact scalars over Q or F_p, and dense exact linear algebra.
+"""Exact scalars over Q or F_p, dense exact linear algebra, and the
+kernel of sparse relation rows.
 
 Scalars are ``fractions.Fraction`` over the rationals and reduced integer
 residues over a prime field.  Matrices provide reduced row echelon form,
@@ -42,7 +43,8 @@ scaled past 2^62 is scaled in Python ints.
   below 2^63.
 - Past 2^62 they run in Python ints.
 
-Each field has one exact elimination kernel behind :func:`_rref`:
+Each field has one exact elimination kernel for dense systems, behind
+:func:`_rref`:
 
 - F_2 inserts rows packed into Python-int bitmasks into a basis keyed by
   leading column, then back-substitutes in decreasing lead order.
@@ -59,6 +61,20 @@ bases are deterministic and reproducible across runs.  The reduced echelon
 form is unique, so every kernel returns the same entries as plain
 Gauss-Jordan elimination over the field.
 
+The balancing relations of a tensor quotient, ``X (x) I - I (x) Y``, have a
+few nonzeros per row, and are never written dense: a :class:`SparseRows`
+holds only their nonzero rows (:func:`kron_eye_difference_rows`), and
+:meth:`SparseRows.kernel_rows` eliminates them row by row into a basis
+keyed by leading column (structured Gaussian elimination, LaMacchia &
+Odlyzko, CRYPTO '90, with the column order fixed so that the echelon form
+is the canonical one).  F_2 rows are Python-int bitmasks and share the
+insertion and back-substitution of :func:`_rref_gf2_packed`
+(:func:`_gf2_basis`); F_p rows are dicts {column: residue}
+(:func:`_fp_basis`); Q rows are dicts of Python ints, eliminated
+fraction-free with a gcd division per row (:func:`_q_basis`).  The kernel
+basis is then filled from the echelon rows' nonzeros, equal entry for
+entry to :meth:`Matrix.nullspace` of the dense rows.
+
 Every linear condition on an unknown matrix F is assembled from
 :func:`sandwich_rows` (the matrix of F -> X F Y on row-major vec(F)) and
 :func:`commute_rows` (the rows of F X == Y F).  A linear combination
@@ -66,9 +82,7 @@ sum c_a X_a of equal-shape matrices is one product of their stack, the
 columns vec(X_a) (:func:`stack_vecs`), with the coefficients
 (:func:`combine`).  ``P (x) I_d`` is applied to a matrix from either side
 by one product with the matrix reshaped (:func:`kron_eye_times`,
-:func:`times_kron_eye`), never by forming the kron, and a balancing
-relation block ``X (x) I - I (x) Y`` is written in one pass
-(:func:`kron_eye_difference`).
+:func:`times_kron_eye`), never by forming the kron.
 """
 
 from __future__ import annotations
@@ -77,7 +91,7 @@ import math
 import operator
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -554,20 +568,110 @@ def first_difference(X: Matrix, Y: Matrix) -> Optional[int]:
     return int(np.flatnonzero((X - Y).support().any(axis=0))[0])
 
 
-def kron_eye_difference(X: Matrix, Y: Matrix) -> Matrix:
-    """``X.kron(I_n) - I_m.kron(Y)`` for X (m x m) and Y (n x n): both
-    terms written into one array of numerators over a common denominator,
-    through its diagonal views (entries (i, j, i', j) and (i, j, i, j')),
-    and reduced once."""
-    m, n = X.nrows, Y.nrows
-    den = X.den if X.den == Y.den else math.lcm(X.den, Y.den)
-    sx, sy = den // X.den, den // Y.den
-    bound = (X.bound or 1) * sx + (Y.bound or 1) * sy
-    dtype = np.result_type(X.N, Y.N) if bound < _INT64_LIMIT else object
-    out = np.zeros((m, n, m, n), dtype=dtype)
-    np.einsum("ijkj->ijk", out)[...] = (X.N if sx == 1 else X.N.astype(dtype) * sx)[:, None, :]
-    np.einsum("ijik->ijk", out)[...] -= Y.N if sy == 1 else Y.N.astype(dtype) * sy
-    return Matrix._from_ints(X.field, out.reshape(m * n, m * n), den, bound)
+# -- sparse rows: the balancing relations, eliminated by their nonzeros --------
+
+class SparseRows(NamedTuple):
+    """A matrix over ``field`` with ``ncols`` columns, by its nonzero rows:
+    over F_2 Python-int bitmasks (bit j is column j), else dicts {column:
+    entry} of nonzero integers, reduced residues over F_p.  Over Q a row is
+    an integer multiple of the matrix's row, which keeps the row space."""
+
+    field: FieldSpec
+    rows: list
+    ncols: int
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def kernel_rows(self) -> tuple[Matrix, list[int]]:
+        """The kernel basis of :meth:`Matrix.nullspace`, transposed, and its
+        free columns: the identity on the free columns, and minus the
+        reduced echelon rows' free entries on the pivot columns, filled from
+        the nonzeros of the echelon rows (:func:`_gf2_basis`,
+        :func:`_fp_basis`, :func:`_q_basis`)."""
+        field, n = self.field, self.ncols
+        den, nz = 1, []     # nz: (pivot column, free column, entry of the kernel)
+        if field.kind == "Q":
+            basis = _q_basis(self.rows)
+            den = math.lcm(*[row[lead] for lead, row in basis.items()])
+            nz = [(lead, c, -v * (den // row[lead]))
+                  for lead, row in basis.items() for c, v in row.items() if c != lead]
+        elif field.p == 2:
+            basis = set()
+            for lead, x in _gf2_basis(self.rows).items():
+                col = lead.bit_length() - 1
+                basis.add(col)
+                x ^= lead
+                while x:
+                    bit = x & -x
+                    nz.append((col, bit.bit_length() - 1, 1))
+                    x ^= bit
+        else:
+            p = field.p
+            basis = _fp_basis(self.rows, p)
+            nz = [(lead, c, p - v) for lead, row in basis.items() for c, v in row.items()
+                  if c != lead]
+        free = [j for j in range(n) if j not in basis]   # basis: the pivot columns
+        if field.kind == "Q":
+            big = max([den, *[abs(v) for _, _, v in nz]]) >= 1 << 63
+            K = np.zeros((len(free), n), dtype=object if big else np.int64)
+        else:
+            K = field.zeros((len(free), n))
+        K[range(len(free)), free] = den
+        if nz:
+            at = np.empty(n, dtype=np.intp)
+            at[free] = range(len(free))
+            piv, col, vals = zip(*nz)
+            K[at[list(col)], piv] = vals
+        return Matrix._from_ints(field, K, den, None if field.kind == "Q" else field.p - 1), free
+
+
+def kron_eye_difference_rows(field: FieldSpec, pairs: Sequence[tuple[Matrix, Matrix]],
+                             ncols: int) -> SparseRows:
+    """The nonzero rows of the blocks ``X (x) I_n - I_m (x) Y``, one block
+    for each pair (R, L) of an m x m and an n x n matrix, X = R^T and Y =
+    L^T (so ``ncols = m n``): the rows (m.a) (x) n - m (x) (a.n) when R and
+    L are the actions of a.
+
+    Row (i, j) holds X[i, i'] at column (i', j) and -Y[j, j'] at column
+    (i, j'); the two terms meet only at (i, j), where the entry is
+    X[i, i] - Y[j, j].  So each row is written from row i of X and row j of
+    Y, and no dense block is made.  Over Q a block is scaled to integers by
+    the lcm of the two denominators."""
+    rows: list = []
+    p = field.p
+    for R, L in pairs:
+        n = L.nrows
+        X, Y = R.N.T.tolist(), L.N.T.tolist()
+        if p == 2:
+            # row (i, j) is (X_i << j) ^ (Y_j << i n), X_i holding bit i' n
+            # for each X[i, i'] = 1 and Y_j bit j' for each Y[j, j'] = 1
+            ys = [sum(1 << k for k, v in enumerate(y) if v) for y in Y]
+            for i, x in enumerate(X):
+                xi, at = sum(1 << (k * n) for k, v in enumerate(x) if v), i * n
+                rows += [r for r in [(xi << j) ^ (y << at) for j, y in enumerate(ys)] if r]
+            continue
+        if p is None:   # over the lcm of the denominators
+            den = math.lcm(R.den, L.den)
+            sx, sy = den // R.den, den // L.den
+            X = X if sx == 1 else [[v * sx for v in x] for x in X]
+            Y = [[-v * sy for v in y] for y in Y]
+        else:
+            Y = [[-v % p for v in y] for y in Y]
+        ys = [([(k, v) for k, v in enumerate(y) if v and k != j], y[j]) for j, y in enumerate(Y)]
+        for i, x in enumerate(X):
+            xs, xd, at = [(k * n, v) for k, v in enumerate(x) if v and k != i], x[i], i * n
+            for j, (yo, yd) in enumerate(ys):
+                row = {c + j: v for c, v in xs}
+                for c, v in yo:
+                    row[at + c] = v
+                d = xd + yd if p is None else (xd + yd) % p
+                if d:
+                    row[at + j] = d
+                if row:
+                    rows.append(row)
+    return SparseRows(field, rows, ncols)
 
 
 # -- P (x) I_d applied without the kron: (A (x) B) vec X = vec(A X B^T) -------
@@ -750,26 +854,39 @@ def _rref_q(N: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def _rref_gf2_packed(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """GF(2) reduced echelon form of the 0/1 array R, computed on rows
-    packed into Python-int bitmasks (bit j = column j); R is not modified.
-
-    Each row is inserted into a basis keyed by lowest set bit (leading
-    column): while its lowest bit is a key, it is XORed with that key's row,
-    which clears the bit and sets none below it; a nonzero remainder joins
-    under its new lowest bit.  The basis spans R's row space with distinct
-    leads.  Taken in decreasing lead order, each row then XORs in the
-    already-reduced row of every other pivot bit it holds, which holds no
-    pivot bit but its own, so one mask of the row's pivot bits lists every
-    step.  The reduced echelon form of a row space is unique, so entries and
-    pivots are those of row-by-row Gauss-Jordan elimination."""
+    packed into Python-int bitmasks (bit j = column j) by
+    :func:`_gf2_basis`; R is not modified."""
     m, n = R.shape
     packed = np.packbits(R.astype(np.uint8, order="C"), axis=1, bitorder="little")
     width = packed.shape[1]
-    basis: dict[int, int] = {}
     # one bytes object per row of the C-ordered packing: numpy drops its
     # trailing zero bytes, its high bytes in little-endian order, which do
     # not change its value
-    for row_bytes in packed.view(f"S{width}").ravel().tolist():
-        x = int.from_bytes(row_bytes, "little")
+    basis = _gf2_basis([int.from_bytes(row_bytes, "little")
+                        for row_bytes in packed.view(f"S{width}").ravel().tolist()])
+    leads = sorted(basis)
+    back = b"".join(basis[lead].to_bytes(width, "little") for lead in leads)
+    out = np.zeros((m, n), dtype=np.int64)
+    out[:len(leads)] = np.unpackbits(np.frombuffer(back, dtype=np.uint8).reshape(len(leads), width),
+                                     axis=1, count=n, bitorder="little")
+    return out, [lead.bit_length() - 1 for lead in leads]
+
+
+def _gf2_basis(rows: Sequence[int]) -> dict[int, int]:
+    """The reduced echelon rows of the GF(2) row space of ``rows``, bitmasks
+    (bit j = column j), keyed by their lowest set bit (leading column).
+
+    Each row is inserted into a basis keyed by lowest set bit: while its
+    lowest bit is a key, it is XORed with that key's row, which clears the
+    bit and sets none below it; a nonzero remainder joins under its new
+    lowest bit.  The basis spans the row space with distinct leads.  Taken
+    in decreasing lead order, each row then XORs in the already-reduced row
+    of every other pivot bit it holds, which holds no pivot bit but its own,
+    so one mask of the row's pivot bits lists every step.  The reduced
+    echelon form of a row space is unique, so entries and pivots are those
+    of row-by-row Gauss-Jordan elimination."""
+    basis: dict[int, int] = {}
+    for x in rows:
         while x:
             lead = x & -x
             row = basis.get(lead)
@@ -787,9 +904,73 @@ def _rref_gf2_packed(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
             x ^= basis[bit]
             rest ^= bit
         basis[lead] = x
-    leads.reverse()
-    back = b"".join(basis[lead].to_bytes(width, "little") for lead in leads)
-    out = np.zeros((m, n), dtype=np.int64)
-    out[:len(leads)] = np.unpackbits(np.frombuffer(back, dtype=np.uint8).reshape(len(leads), width),
-                                     axis=1, count=n, bitorder="little")
-    return out, [lead.bit_length() - 1 for lead in leads]
+    return basis
+
+
+def _dict_basis(rows: Sequence[dict], clear, scale) -> dict[int, dict[int, int]]:
+    """The reduced echelon rows of the row space of the dict rows {column:
+    nonzero entry}, keyed by leading column; ``rows`` are not modified.
+
+    As in :func:`_gf2_basis`: each row is inserted into a basis keyed by
+    leading column, clearing its leading entry with that key's row while
+    there is one (``clear(x, k, b)``: x with column k cleared by the row b,
+    as a new dict), and joins under its new lead as ``scale(x)``; then, in
+    decreasing lead order, each row clears every other pivot column it
+    holds with that column's row, already reduced, which changes it only
+    there and on free columns."""
+    basis: dict[int, dict[int, int]] = {}
+    for x in rows:
+        while x:
+            lead = min(x)
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = scale(x)
+                break
+            x = clear(x, lead, b)
+    for lead in sorted(basis, reverse=True):
+        x = basis[lead]
+        for k in [k for k in x if k != lead and k in basis]:
+            x = clear(x, k, basis[k])
+        basis[lead] = x
+    return basis
+
+
+def _fp_basis(rows: Sequence[dict], p: int) -> dict[int, dict[int, int]]:
+    """:func:`_dict_basis` over F_p, on residues: each echelon row has
+    leading entry 1, and clearing column k of x subtracts ``x[k] b``."""
+    def clear(x, k, b):
+        c, out = x[k], dict(x)
+        for j, v in b.items():
+            w = (out.get(j, 0) - c * v) % p
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+        return out
+
+    def scale(x):
+        inv = pow(x[min(x)], p - 2, p)
+        return x if inv == 1 else {j: v * inv % p for j, v in x.items()}
+
+    return _dict_basis(rows, clear, scale)
+
+
+def _q_basis(rows: Sequence[dict]) -> dict[int, dict[int, int]]:
+    """:func:`_dict_basis` over Q, fraction-free on integers: clearing
+    column k of x with the row b replaces x by ``b[k] x - x[k] b`` over the
+    gcd of its entries, which keeps its span, and each echelon row is an
+    integer multiple of the reduced one, which is it over its leading
+    entry."""
+    def clear(x, k, b):
+        s, c = b[k], x[k]
+        out = {j: s * v for j, v in x.items()}
+        for j, v in b.items():
+            w = out.get(j, 0) - c * v
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+        g = math.gcd(*out.values())
+        return out if g < 2 else {j: v // g for j, v in out.items()}
+
+    return _dict_basis(rows, clear, lambda x: x)

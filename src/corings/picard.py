@@ -210,11 +210,15 @@ def _affine_scan(k: FieldSpec, base: np.ndarray, null: np.ndarray,
         yield (base + digits @ cols) % p
 
 
-def _sandwich_projected(phis: np.ndarray, W: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
+def _sandwich_projected(phis: np.ndarray, W: np.ndarray, P: Optional[np.ndarray],
+                        p: int) -> np.ndarray:
     """``P vec(phi W phi^T)`` for each phi of the stack ``phis``, one row
-    each; vec is row-major, so this is ``P (phi (x) phi) vec(W)``."""
+    each; vec is row-major, so this is ``P (phi (x) phi) vec(W)``.  P None
+    is the identity, as for a square with no relations (a coalgebra over
+    k), and is not applied."""
     n, d = phis.shape[:2]
-    return (phis @ W % p @ phis.transpose(0, 2, 1) % p).reshape(n, d * d) @ P.T % p
+    out = (phis @ W % p @ phis.transpose(0, 2, 1) % p).reshape(n, d * d)
+    return out if P is None else out @ P.T % p
 
 
 def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
@@ -243,7 +247,9 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
        later columns and the bijectivity check see few;
     2. bijectivity, ``phi.is_invertible()`` on each survivor in order.
 
-    Here P and S are the square's project and section.  A candidate is
+    Here P and S are the square's project and section; a square with no
+    relations (every coalgebra over k, and so every base scan) has P = I,
+    and ``vec(phi X_c phi^T)`` is compared as it is.  A candidate is
     kept iff it passes both predicates; each depends only on phi, so the
     order of the checks does not change which candidates are kept, nor
     their order, which is the scan order.  The budget accounting
@@ -268,7 +274,9 @@ def enumerate_automorphisms(C: Coring, fix_rho_identity: bool = True,
         if not all(rho.validate().ok and rho.matrix.is_invertible() for rho in rhos):
             raise AssertionError("a coalgebra automorphism of A*, transposed, is not one of A")
         complete = duals.complete
-    D, P, X = C.delta.a, C.square.project.a, C.delta_ambient.a
+    sq = C.square
+    D, X = C.delta.a, C.delta_ambient.a
+    P = None if sq.dim == sq.ambient_dim else sq.project.a
     found: list[CoringMorphism] = []
     spent = 0
     for rho in rhos:

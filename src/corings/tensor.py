@@ -5,13 +5,16 @@ balancing subspace span{(m.a)(x)n - m(x)(a.n)}, a ranging over A.  When M's
 right action and N's left action pass the generator-word check, the blocks
 of a generating set of A already span it, and only theirs are written
 (:func:`balancing_basis`); otherwise, as for invalid structures, the block
-of every basis vector is.  A quotient carries a ``project`` matrix
-(ambient -> quotient) and a ``section`` (quotient -> ambient, a right
-inverse of project) built from the reduced row echelon form of the
-relation matrix: sections are coordinate embeddings on the non-pivot
-columns, so bases are deterministic.  A map on the ambient space passes to
-the quotient through :meth:`TensorQuotient.descend`, which first checks
-that it kills every balancing relation.
+of every basis vector is.  The blocks are written by their nonzero rows
+alone, never as dense arrays, and eliminated sparse
+(:func:`corings.fields.kron_eye_difference_rows`,
+:meth:`corings.fields.SparseRows.kernel_rows`).  A quotient carries a
+``project`` matrix (ambient -> quotient) and a ``section`` (quotient ->
+ambient, a right inverse of project) built from the reduced row echelon
+form of the relations: sections are coordinate embeddings on the
+non-pivot columns, so bases are deterministic.  A map on the ambient
+space passes to the quotient through :meth:`TensorQuotient.descend`,
+which first checks that it kills every balancing relation.
 
 Chains of three or more factors are bracketed to the left, one pair at a
 time on the (previous quotient) x (next factor) ambient, and keep their
@@ -39,8 +42,8 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .algebra import Bimodule
-from .fields import (Matrix, basis_vector, first_difference, kron_eye_difference, kron_eye_times,
-                     times_kron_eye)
+from .fields import (Matrix, basis_vector, first_difference, kron_eye_difference_rows,
+                     kron_eye_times, times_kron_eye)
 from .report import BalancednessError
 
 
@@ -51,7 +54,10 @@ class TensorQuotient:
     ``R_a^T (x) I - I (x) L_a^T`` (rows (m.a)(x)n - m(x)(a.n)) for a in
     :func:`balancing_basis`: the generators of A when both actions pass the
     generator-word check, else every basis vector; the row space, and so
-    every matrix below, is the same either way.
+    every matrix below, is the same either way.  Only the nonzeros of the
+    relations are written and eliminated; ``project`` is filled from the
+    sparse echelon rows: the identity on the free columns, and minus the
+    echelon entries at the pivot columns.
 
     Three or more factors are bracketed to the left: ``head =
     tensor_chain(factors[:-1])`` (a cube's head is the cached square), then
@@ -97,9 +103,10 @@ class TensorQuotient:
         dim: dimension of the quotient.
         free: the ambient columns on which project is the identity, in
             order; the section is the identity's columns there.
-        relations: rows spanning the relations of the last pair eliminated
-            (for a chain, on the ambient of its last step): the nonzero rows
-            of the blocks of :func:`balancing_basis`.
+        relations: the nonzero rows of the blocks of :func:`balancing_basis`
+            for the last pair eliminated (for a chain, on the ambient of its
+            last step), as :class:`~corings.fields.SparseRows`; ``nrows``
+            counts them.
         last: a chain's last step (None for one or two factors).
         module: the induced (leftmost, rightmost) bimodule on the quotient.
         products: the chains ``self (x) N``, weakly keyed by N.
@@ -132,21 +139,12 @@ class TensorQuotient:
         self._outer = (first.left_algebra, first.left_action,
                        end.right_algebra, end.right_action, [m.dim for m in factors])
 
-        rel_blocks = []
-        for M, N in zip(factors, factors[1:]):
-            for a in balancing_basis(M, N):
-                rel = kron_eye_difference(M.right_action[a].T, N.left_action[a].T)
-                keep = rel.support().any(axis=1)
-                if keep.any():
-                    rel_blocks.append(rel.rearranged(lambda x: x[keep]))
-        self.relations = Matrix.vstack(rel_blocks) if rel_blocks else Matrix.zeros(field, 0, n)
-
-        # the kernel basis, transposed, is the identity on the free columns
-        # and minus the echelon rows' free entries on the pivot columns
-        kernel, free = self.relations._kernel()
+        pairs = [(M.right_action[a], N.left_action[a])
+                 for M, N in zip(factors, factors[1:]) for a in balancing_basis(M, N)]
+        self.relations = kron_eye_difference_rows(field, pairs, n)
+        self._project, free = self.relations.kernel_rows()
         self.dim = len(free)
         self.free = np.array(free, dtype=np.intp)
-        self._project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T))
 
     @property
     def project(self) -> Matrix:

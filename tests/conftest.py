@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
-from corings import GF, Algebra, GradedData, cyclic_group, group_algebra, regular_gset
+from corings import GF, Algebra, GradedData, Matrix, cyclic_group, group_algebra, regular_gset
+from corings.fields import _INT64_LIMIT
 
 F2 = GF(2)
 F3 = GF(3)
@@ -40,3 +44,21 @@ def s3_table():
         return tuple(p[q[i]] for i in range(3))
 
     return [[index[compose(p, q)] for q in perms] for p in perms]
+
+
+def kron_eye_difference(X: Matrix, Y: Matrix) -> Matrix:
+    """``X.kron(I_n) - I_m.kron(Y)`` for X (m x m) and Y (n x n), written
+    dense: both terms in one array of numerators over a common denominator,
+    through its diagonal views (entries (i, j, i', j) and (i, j, i, j')),
+    and reduced once.  The dense relation block that the quotients wrote
+    before they eliminated the nonzeros alone; the referee of the sparse
+    rows (``corings.fields.kron_eye_difference_rows``)."""
+    m, n = X.nrows, Y.nrows
+    den = X.den if X.den == Y.den else math.lcm(X.den, Y.den)
+    sx, sy = den // X.den, den // Y.den
+    bound = (X.bound or 1) * sx + (Y.bound or 1) * sy
+    dtype = np.result_type(X.N, Y.N) if bound < _INT64_LIMIT else object
+    out = np.zeros((m, n, m, n), dtype=dtype)
+    np.einsum("ijkj->ijk", out)[...] = (X.N if sx == 1 else X.N.astype(dtype) * sx)[:, None, :]
+    np.einsum("ijik->ijk", out)[...] -= Y.N if sy == 1 else Y.N.astype(dtype) * sy
+    return Matrix._from_ints(X.field, out.reshape(m * n, m * n), den, bound)

@@ -21,7 +21,7 @@ from corings.fields import (_q_split, _rref, _rref_fp, _rref_gf2_packed, basis_v
                             commute_rows, sandwich_rows, stack_vecs, unstack)
 from corings.report import BalancednessError
 
-from conftest import kz2_graded
+from conftest import kron_eye_difference, kz2_graded
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -636,6 +636,9 @@ def _quarter_algebra():
 
 
 def test_q_tensor_relations_match_fraction_arrays():
+    """The dense relation blocks (the referee's) are the Fraction arrays'
+    nonzero rows, and the quotient's sparse rows are those rows, each
+    times a positive integer."""
     bim = regular_bimodule(_quarter_algebra())
     t = tensor_chain([bim, bim])
     eye = Matrix.eye(QQ, bim.dim).a
@@ -643,7 +646,14 @@ def test_q_tensor_relations_match_fraction_arrays():
     for R, L in zip(bim.right_action, bim.left_action):
         arr = np.kron(R.a.T, eye) - np.kron(eye, L.a.T)
         want += [row for row in arr.tolist() if any(x != 0 for x in row)]
-    assert t.relations.a.tolist() == want
+    stack = Matrix.vstack([kron_eye_difference(R.T, L.T)
+                           for R, L in zip(bim.right_action, bim.left_action)])
+    assert [row for row in stack.a.tolist() if any(x != 0 for x in row)] == want
+    assert t.relations.nrows == len(want)
+    for row, w in zip(t.relations.rows, want):
+        scale = {Fraction(row[c]) / x for c, x in enumerate(w) if x != 0}
+        assert set(row) == {c for c, x in enumerate(w) if x != 0} and len(scale) == 1
+        assert min(scale) > 0 and min(scale).denominator == 1
 
 
 @settings(max_examples=40, deadline=None)

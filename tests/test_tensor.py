@@ -8,13 +8,19 @@ full k-tensor product, one elimination) as their referee, and ``_eager``
 the composition ``P_last @ (P_head (x) I)``, ``(S_head (x) I) @ S_last`` as
 the referee of the maps a chain applies through its head.  ``_every_basis``
 keeps the relation blocks of every basis vector of A as the referee of
-balancing over the generators of A."""
+balancing over the generators of A.  Its blocks are dense, written by
+``kron_eye_difference`` and eliminated by ``Matrix._kernel`` (``_dense_route``):
+the referee of the quotients, which eliminate the nonzeros alone."""
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +34,12 @@ from corings import (GF, QQ, Bimodule, EntwiningStructure, GradedData, Matrix, c
                      twisted_bicomodule)
 from corings import cli
 from corings import io as doc_io
-from corings.fields import (basis_vector, first_difference, kron_eye_difference, kron_eye_times,
-                            times_kron_eye)
+from corings.fields import (basis_vector, first_difference, kron_eye_difference_rows,
+                            kron_eye_times, times_kron_eye)
 from corings.report import BalancednessError
 from corings.tensor import TensorQuotient
 
-from conftest import dual_numbers
+from conftest import dual_numbers, kron_eye_difference
 
 F2, F3 = GF(2), GF(3)
 
@@ -50,9 +56,10 @@ def test_a_tensor_a_collapses_to_a(A):
     assert t.dim == A.dim
     assert t.project @ t.section == Matrix.eye(A.field, t.dim)
     # balancing subspace is exactly the kernel of project
-    if t.relations.nrows:
-        assert (t.project @ t.relations.T).is_zero()
-    assert t.relations.rank() == t.ambient_dim - t.dim
+    relations = _every_basis(bim, bim)[2]
+    if relations.nrows:
+        assert (t.project @ relations.T).is_zero()
+    assert relations.rank() == t.ambient_dim - t.dim
 
 
 def test_base_field_balancing_is_vacuous():
@@ -137,13 +144,14 @@ def test_induced_map_independent_of_section():
     bim = regular_bimodule(A)
     t = tensor_over(bim, bim)
     n = t.ambient_dim
+    relations = _every_basis(bim, bim)[2]
     back = np.arange(n)[::-1]      # the reversal is its own inverse
-    kernel, free = t.relations.rearranged(lambda x: x[:, back])._kernel()
+    kernel, free = relations.rearranged(lambda x: x[:, back])._kernel()
     project = kernel.rearranged(lambda x: np.ascontiguousarray(x.T[:, back]))
     section = Matrix.eye(F3, n).rearranged(lambda x: x[back][:, free])
     assert len(free) == t.dim
     assert project @ section == Matrix.eye(F3, t.dim)
-    assert (project @ t.relations.T).is_zero()
+    assert (project @ relations.T).is_zero()
     assert section != t.section
     # an A-bilinear ambient endomorphism: the flip a (x) b -> b (x) a is not
     # bilinear in general; use multiplication-recombination instead
@@ -379,11 +387,80 @@ def test_kron_eye_helpers_match_an_explicit_kron(data):
 
 def test_relation_block_scales_past_int64_in_python_ints():
     """Numerators scaled to the common denominator 12 pass 2^63, so the
-    block is built in Python ints, not wrapped in int64."""
+    dense block is built in Python ints, not wrapped in int64; the sparse
+    rows, in Python ints throughout, eliminate to its quotient."""
     X = Matrix(QQ, [[Fraction(2**61, 3), 1], [0, 1]])
     Y = Matrix(QQ, [[Fraction(1, 4), 2**60], [1, 0]])
     assert _same(kron_eye_difference(X, Y),
                  X.kron(Matrix.eye(QQ, 2)) - Matrix.eye(QQ, 2).kron(Y))
+    _assert_sparse_route(QQ, [(X.T, Y.T)], 4)
+
+
+def _dense_route(field, pairs, ncols):
+    """The free columns and project of the relation blocks ``X (x) I - I
+    (x) Y``, X = R^T and Y = L^T for each pair (R, L), written dense and
+    stacked, and eliminated by ``Matrix._kernel``; and the stack."""
+    blocks = [kron_eye_difference(R.T, L.T) for R, L in pairs]
+    relations = Matrix.vstack(blocks) if blocks else Matrix.zeros(field, 0, ncols)
+    kernel, free = relations._kernel()
+    return free, kernel.T, relations
+
+
+def _densify(rel):
+    """The sparse rows as a dense Matrix, row for row."""
+    out = np.zeros((rel.nrows, rel.ncols), dtype=object)
+    for r, row in enumerate(rel.rows):
+        for c, v in ([(c, 1) for c in range(rel.ncols) if row >> c & 1]
+                     if rel.field.p == 2 else row.items()):
+            out[r, c] = v
+    return Matrix(rel.field, out)
+
+
+def _assert_sparse_route(field, pairs, ncols):
+    """The sparse rows of the pairs' blocks are the dense stack's nonzero
+    rows, each times a positive integer (1 over F_p), and eliminate to the
+    dense route's free columns and project, byte for byte."""
+    rel = kron_eye_difference_rows(field, pairs, ncols)
+    project, free = rel.kernel_rows()
+    want_free, want_project, stack = _dense_route(field, pairs, ncols)
+    assert free == want_free
+    assert _same(project, want_project)
+    dense = stack.a[(stack.N != 0).any(axis=1)]
+    assert rel.nrows == len(dense) and rel.ncols == ncols
+    for got, want in zip(_densify(rel).a.tolist(), dense.tolist()):
+        if field == QQ:
+            scale = {x / y for x, y in zip(got, want) if y}
+            assert len(scale) == 1
+            c = scale.pop()
+            assert c > 0 and c.denominator == 1
+            want = [c * y for y in want]
+        assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sparse_relations_match_the_dense_route(data):
+    """Random pairs (R, L), mostly sparse, sometimes dense (as after a
+    change of basis, which makes the elimination fill in), over F2, F3, F5,
+    F_p past 2^20 (Python-int residues) and Q, with denominators and with
+    numerators past 2^63: the sparse rows and their quotient against the
+    dense route."""
+    f = data.draw(st.sampled_from([F2, F3, GF(5), GF(2**31 - 1), QQ]), label="field")
+    m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n")
+    dense = data.draw(st.booleans(), label="dense")
+    if f == QQ:
+        nonzero = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 4), 2**64 + 1,
+                                   -(2**70), Fraction(2**65, 3)])
+    else:
+        nonzero = st.integers(1, f.p - 1)
+    entries = nonzero if dense else st.one_of(st.just(0), st.just(0), nonzero)
+
+    def matrix(k):
+        cells = data.draw(st.lists(entries, min_size=k * k, max_size=k * k))
+        return Matrix(f, np.array(cells, dtype=object).reshape(k, k))
+
+    pairs = [(matrix(m), matrix(n)) for _ in range(data.draw(st.integers(1, 3), label="pairs"))]
+    _assert_sparse_route(f, pairs, m * n)
 
 
 @pytest.mark.parametrize("name", ["Mc2(F2[t]/t^2)", "graded Z2/F3"])
@@ -421,7 +498,8 @@ def test_cached_power_equals_a_fresh_quotient(name, power):
     fresh = TensorQuotient([twin] * (2 if power == "square" else 3))
     assert got is tensor_chain([bim] * (2 if power == "square" else 3))
     assert got.dim == fresh.dim
-    for attr in ("relations", "project", "section"):
+    assert got.relations == fresh.relations
+    for attr in ("project", "section"):
         assert _same(getattr(got, attr), getattr(fresh, attr))
     for side in ("left_action", "right_action"):
         assert all(_same(x, y) for x, y in zip(getattr(got.module, side),
@@ -621,14 +699,11 @@ def test_twist_with_rho_not_identity_gets_its_own_module():
 # -- balancing over algebra generators -----------------------------------------
 
 def _every_basis(M, N):
-    """The free columns and project of M (x)_A N from the relation blocks of
-    every basis vector of A, in one elimination: the referee of balancing
-    over generators."""
-    blocks = [kron_eye_difference(M.right_action[a].T, N.left_action[a].T)
-              for a in range(M.right_algebra.dim)]
-    relations = Matrix.vstack(blocks) if blocks else Matrix.zeros(M.field, 0, M.dim * N.dim)
-    kernel, free = relations._kernel()
-    return free, kernel.T, relations
+    """The free columns and project of M (x)_A N from the dense relation
+    blocks of every basis vector of A, in one elimination, and their stack:
+    the referee of balancing over generators, and of the sparse rows."""
+    return _dense_route(M.field, [(M.right_action[a], N.left_action[a])
+                                  for a in range(M.right_algebra.dim)], M.dim * N.dim)
 
 
 def _last_pair(build):
@@ -653,8 +728,8 @@ PAIRS = {
        for n in range(2, 6) for p in (2, 3, 5)},
     **{f"graded Z{n}/F{p} cube": (lambda n=n, p=p: _power_pair(_graded(n, GF(p)), "cube"))
        for n in range(2, 5) for p in (2, 3, 5)},
-    "graded Z3/Q square": lambda: _power_pair(_graded(3, QQ), "square"),
-    "graded Z3/Q cube": lambda: _power_pair(_graded(3, QQ), "cube"),
+    **{f"graded Z{n}/Q {power}": (lambda n=n, power=power: _power_pair(_graded(n, QQ), power))
+       for n in range(2, 5) for power in ("square", "cube")},
     "Q[Z3] regular": lambda: _regular_pair(_kz(3, QQ)),
     "Q[Z4] regular": lambda: _regular_pair(_kz(4, QQ)),
     **{f"F{p}[Z3] regular": (lambda p=p: _regular_pair(_kz(3, GF(p)))) for p in (2, 3, 5)},
@@ -736,7 +811,7 @@ def test_non_associative_right_action_keeps_every_basis_relation():
     free, project, every = _every_basis(M, reg)
     got = TensorQuotient([M, reg])
     assert got.free.tolist() == free and _same(got.project, project)
-    assert _same(got.relations, every.rearranged(lambda x: x[(x != 0).any(axis=1)]))
+    assert _same(_densify(got.relations), every.rearranged(lambda x: x[(x != 0).any(axis=1)]))
     only_g = kron_eye_difference(M.right_action[1].T, reg.left_action[1].T)
     assert only_g.rank() < every.rank()
 
@@ -789,8 +864,9 @@ def test_generator_checks_run_once_per_side(generator_work):
 
 def test_cube_last_step_holds_few_relation_blocks():
     """Graded Z4/F2's cube: the last step's ambient is 64 * 16 = 1024, so a
-    relation block over int64 is 8 MB; its build stays below six of them
-    (it held 85 MB with one block per basis vector of F2[Z4])."""
+    dense relation block over int64 is 8 MB; its build, on the nonzeros
+    alone, stays below one (it held 85 MB with one block per basis vector
+    of F2[Z4], and below 48 MB with the generators' dense blocks)."""
     C = _graded(4, F2)
     M = C.square.module
     block = 1024 * 1024 * 8
@@ -800,4 +876,29 @@ def test_cube_last_step_holds_few_relation_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * block
+    assert peak < block
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_graded_z5_f5_validate_peaks_below_200_mb(tmp_path, capsys):
+    """validate on graded Z5/F5 (d = 25, the cube's last step on 125 * 25
+    columns) peaks at 200 MB or less, as the child process running it
+    reports its own peak (VmHWM, in kB); it peaked at 374 MB with the
+    generators' dense relation blocks.  Not ru_maxrss: a child spawned
+    from a large process, such as the test runner, reports that process's
+    resident size there."""
+    doc = str(tmp_path / "c.json")
+    assert cli.main(["build", "graded-coring", "--group", "5", "--field", "F5", "-o", doc]) == 0
+    capsys.readouterr()
+    code = ("import sys\n"
+            "from corings import cli\n"
+            "code = cli.main(['validate', sys.argv[1]])\n"
+            "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]\n"
+            "print('PEAK', peak.split()[1], code)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code, doc], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    peak_kb, status = map(int, out.strip().splitlines()[-1].split()[1:])
+    assert status == 0
+    assert peak_kb <= 200 * 1024
