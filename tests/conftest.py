@@ -50,9 +50,8 @@ def kron_eye_difference(X: Matrix, Y: Matrix) -> Matrix:
     """``X.kron(I_n) - I_m.kron(Y)`` for X (m x m) and Y (n x n), written
     dense: both terms in one array of numerators over a common denominator,
     through its diagonal views (entries (i, j, i', j) and (i, j, i, j')),
-    and reduced once.  The dense relation block that the quotients wrote
-    before they eliminated the nonzeros alone; the referee of the sparse
-    rows (``corings.fields.kron_eye_difference_rows``)."""
+    and reduced once: the dense referee of the sparse relation rows
+    (``corings.fields.kron_eye_difference_rows``)."""
     m, n = X.nrows, Y.nrows
     den = X.den if X.den == Y.den else math.lcm(X.den, Y.den)
     sx, sy = den // X.den, den // Y.den
